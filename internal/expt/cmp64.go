@@ -111,10 +111,11 @@ func cmp64Fabric(o Options) (*topology.Crossbar, error) {
 	})
 }
 
-// RunCMP64 runs the experiment. With Parallel > 1 the ports — disjoint
-// arbitration domains with no inter-port links — run concurrently, one
-// port bus per worker; the result is bit-identical to the serial
-// lock-step run, and the composed fingerprint proves it.
+// RunCMP64 runs the experiment. Serially, System.Run runs each port to
+// completion in turn (no bridge or hook couples them); with Parallel > 1
+// the ports run concurrently, one port bus per worker. Both are
+// bit-identical to a whole-fabric lock-step run, and the composed
+// fingerprint proves it.
 func RunCMP64(o Options) (*CMP64Result, error) {
 	o = o.fill()
 	x, err := cmp64Fabric(o)
@@ -122,9 +123,8 @@ func RunCMP64(o Options) (*CMP64Result, error) {
 		return nil, err
 	}
 	if o.workers() > 1 {
-		// The crossbar has no bridges, so ports share no state and the
-		// lock-step schedule is vacuous; each port can run to completion
-		// independently.
+		// The crossbar has no bridges or hooks, so ports share no state
+		// and each can run to completion on its own worker.
 		if _, err := runner.Map(o.workers(), x.NumPorts(), func(p int) (struct{}, error) {
 			return struct{}{}, x.Port(p).Run(o.Cycles)
 		}); err != nil {

@@ -3,7 +3,7 @@ package expt
 import "testing"
 
 // TestCMP64SerialParallelIdentical proves the port-parallel run of the
-// 64-core CMP fabric is bit-identical to the serial lock-step run: the
+// 64-core CMP fabric is bit-identical to the serial System.Run: the
 // ports share no state, so the composed fabric fingerprint — and every
 // per-port statistic behind it — must match exactly.
 func TestCMP64SerialParallelIdentical(t *testing.T) {
@@ -55,6 +55,25 @@ func TestCMP64Invariants(t *testing.T) {
 	for c, s := range res.DirClassShare {
 		if s == 0 {
 			t.Errorf("directory class %d moved no words", c)
+		}
+	}
+}
+
+// TestCMP64SerialRunFastForwards pins the serial schedule: the crossbar
+// has no bridges and no hooks, so System.Run hands each port to
+// bus.Run whole and every port reaches the fast-forward engine. Under a
+// per-cycle lock-step every port would report zero.
+func TestCMP64SerialRunFastForwards(t *testing.T) {
+	x, err := cmp64Fabric(Options{Cycles: 20000, Seed: 42}.fill())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Run(20000); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < x.NumPorts(); p++ {
+		if ff := x.Port(p).FastForwarded(); ff <= 0 {
+			t.Errorf("port %s fast-forwarded %d cycles, want > 0", x.PortName(p), ff)
 		}
 	}
 }

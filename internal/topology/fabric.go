@@ -12,7 +12,7 @@ import (
 // Hierarchical fabrics beyond the single bridge pair: linear chains of
 // N bridged segments and a partial-crossbar interconnect with an
 // independent lottery per output port. Both compose the existing
-// lock-step System, so every segment keeps its own stats ledger
+// System, so every segment keeps its own stats ledger
 // (bus.Collector) and every inter-segment link keeps the bridge word
 // ledger — check.AuditSystem re-proves conservation per segment and per
 // link, exactly as the single-bus audits do.
@@ -33,7 +33,8 @@ type ChainSegment struct {
 // links[i] bridges segment i into segment i+1, generalizing the
 // two-bus Connect call to N segments (paper §2.3: hierarchical bus
 // architectures chain channels through bridges). It returns the
-// lock-step system and the installed bridges in chain order.
+// system and the installed bridges in chain order; the bridges couple
+// every segment, so System.Run steps the chain in lock-step.
 func NewChain(segments []ChainSegment, links []BridgeConfig) (*System, []*Bridge, error) {
 	if len(segments) < 2 {
 		return nil, nil, fmt.Errorf("topology: chain needs at least 2 segments, got %d", len(segments))
@@ -100,7 +101,7 @@ type CrossbarConfig struct {
 
 // Crossbar is a partial-crossbar interconnect: each output port is an
 // independent arbitration domain (its own lottery, its own stats
-// ledger) and ports advance in lock-step. Masters appear on every port
+// ledger) and nothing couples the ports. Masters appear on every port
 // they are wired to; unwired (master, port) pairs simply do not exist,
 // which is what distinguishes a partial crossbar from a full one.
 type Crossbar struct {
@@ -172,7 +173,7 @@ func NewCrossbar(cfg CrossbarConfig) (*Crossbar, error) {
 	return x, nil
 }
 
-// System returns the underlying lock-step system (one bus per port),
+// System returns the underlying system (one bus per port),
 // for audits and bridging a port into a further fabric level.
 func (x *Crossbar) System() *System { return x.sys }
 
@@ -190,5 +191,8 @@ func (x *Crossbar) PortName(p int) string { return x.sys.BusName(p) }
 // order they appear as the port bus's masters.
 func (x *Crossbar) Wired(p int) []int { return x.wired[p] }
 
-// Run advances every port in lock-step for n cycles.
+// Run advances every port n cycles through System.Run. Ports carry no
+// bridges, so unless a caller has attached an OnCycle or OnOwner hook,
+// each port runs to completion on its own, fast-forward engine
+// included.
 func (x *Crossbar) Run(n int64) error { return x.sys.Run(n) }

@@ -13,8 +13,10 @@ import (
 	"lotterybus/internal/bus"
 )
 
-// System is a set of buses advanced in lock-step, with bridges
-// forwarding completed transactions between them.
+// System is a set of buses advanced together, with bridges forwarding
+// completed transactions between them. Each bus keeps its own schedule:
+// buses nothing couples run to completion, bridged buses advance in
+// lock-step among themselves (see Run).
 type System struct {
 	buses   []*bus.Bus
 	names   []string
@@ -98,11 +100,12 @@ type BridgeConfig struct {
 	// (add a nil-generator master for it).
 	DstMaster int
 	// DstSlave is the slave the forwarded transaction targets on the
-	// destination bus.
+	// destination bus; it must exist there.
 	DstSlave int
 	// Delay is the store-and-forward latency in cycles (>= 0).
 	Delay int64
-	// FifoCap bounds the bridge FIFO in messages; 0 selects 64.
+	// FifoCap bounds the bridge FIFO in messages; 0 selects 64 and a
+	// negative cap is rejected.
 	FifoCap int
 }
 
@@ -122,8 +125,14 @@ func (s *System) Connect(src, dst int, cfg BridgeConfig) (*Bridge, error) {
 	if cfg.SrcSlave < 0 || cfg.SrcSlave >= sb.NumSlaves() {
 		return nil, fmt.Errorf("topology: bridge slave %d not on source bus", cfg.SrcSlave)
 	}
+	if cfg.DstSlave < 0 || cfg.DstSlave >= db.NumSlaves() {
+		return nil, fmt.Errorf("topology: bridge target slave %d not on destination bus", cfg.DstSlave)
+	}
 	if cfg.Delay < 0 {
 		return nil, fmt.Errorf("topology: negative bridge delay")
+	}
+	if cfg.FifoCap < 0 {
+		return nil, fmt.Errorf("topology: negative bridge FIFO capacity %d", cfg.FifoCap)
 	}
 	if cfg.FifoCap == 0 {
 		cfg.FifoCap = 64
@@ -277,24 +286,61 @@ func (b *Bridge) CheckConservation() error {
 	return nil
 }
 
-// Run advances every bus in lock-step for n cycles.
+// Run advances the system n cycles; n <= 0 is a no-op. Each bus is
+// scheduled by the hooks it carries, the only channels through which one
+// bus can observe another:
+//
+//   - A bus with no OnCycle, OnOwner or OnMessageComplete hook is
+//     observed by nothing, so it runs to completion with one bus.Run(n)
+//     — eligible for the fast-forward engine, which skips dead cycles.
+//   - Buses coupled by bridges (Connect installs OnMessageComplete on
+//     both ends) advance in lock-step among themselves: every cycle
+//     drains every bridge, then runs each such bus one cycle in index
+//     order. An OnMessageComplete hook must observe only buses in this
+//     set.
+//   - If any bus carries OnCycle or OnOwner, hooks that may read sibling
+//     buses, every bus runs in that lock-step, so what those hooks see is
+//     unchanged.
+//
+// Per-bus results are identical to whole-system lock-step whenever buses
+// share no mutable state outside their hooks (a generator or PRNG source
+// attached to two buses would be drawn in a different order). When Run
+// returns nil, every bus and Cycle() have advanced by exactly n.
 func (s *System) Run(n int64) error {
 	if len(s.buses) == 0 {
 		return fmt.Errorf("topology: no buses")
 	}
-	for k := int64(0); k < n; k++ {
-		for _, br := range s.bridges {
-			br.drain(s.cycle)
+	if n <= 0 {
+		return nil
+	}
+	observed := false
+	for _, b := range s.buses {
+		if b.OnCycle != nil || b.OnOwner != nil {
+			observed = true
+			break
 		}
-		for i, b := range s.buses {
-			if err := b.Run(1); err != nil {
+	}
+	var lockstep []int
+	for i, b := range s.buses {
+		if observed || b.OnMessageComplete != nil {
+			lockstep = append(lockstep, i)
+		} else if err := b.Run(n); err != nil {
+			return fmt.Errorf("topology: bus %s: %w", s.names[i], err)
+		}
+	}
+	for k := int64(0); k < n && len(lockstep) > 0; k++ {
+		for _, br := range s.bridges {
+			br.drain(s.cycle + k)
+		}
+		for _, i := range lockstep {
+			if err := s.buses[i].Run(1); err != nil {
 				return fmt.Errorf("topology: bus %s: %w", s.names[i], err)
 			}
 		}
-		s.cycle++
 	}
+	s.cycle += n
 	return nil
 }
 
-// Cycle returns the current lock-step cycle.
+// Cycle returns the system cycle: how far every bus has advanced.
 func (s *System) Cycle() int64 { return s.cycle }

@@ -1,12 +1,14 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/core"
 	"lotterybus/internal/prng"
+	"lotterybus/internal/traffic"
 )
 
 // buildPair wires two single-arbiter buses: bus A has one CPU master,
@@ -84,6 +86,22 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if _, err := sys.Connect(ai, bi, BridgeConfig{Delay: -1}); err == nil {
 		t.Fatal("negative delay accepted")
+	}
+	// An out-of-range target slave used to pass here and panic at the
+	// first drain inside Run ("addressed invalid slave").
+	if _, err := sys.Connect(ai, bi, BridgeConfig{DstSlave: 1}); err == nil {
+		t.Fatal("bad target slave accepted")
+	}
+	if _, err := sys.Connect(ai, bi, BridgeConfig{DstSlave: -1}); err == nil {
+		t.Fatal("negative target slave accepted")
+	}
+	// A negative FIFO cap used to be accepted and silently drop every
+	// message.
+	if _, err := sys.Connect(ai, bi, BridgeConfig{FifoCap: -1}); err == nil {
+		t.Fatal("negative FIFO cap accepted")
+	}
+	if len(sys.Bridges()) != 0 {
+		t.Fatalf("rejected configs installed %d bridges", len(sys.Bridges()))
 	}
 }
 
@@ -262,5 +280,206 @@ func TestLockStepCycleCount(t *testing.T) {
 	}
 	if sys.Cycle() != 123 || a.Cycle() != 123 || b.Cycle() != 123 {
 		t.Fatalf("cycles diverged: sys=%d a=%d b=%d", sys.Cycle(), a.Cycle(), b.Cycle())
+	}
+}
+
+// runLockStep is the executable specification of System.Run: the
+// whole-system lock-step loop, which every cycle drains every bridge and
+// then runs every bus one cycle in index order. Run's per-bus schedules
+// must reproduce it exactly.
+func runLockStep(s *System, n int64) error {
+	if len(s.buses) == 0 {
+		return fmt.Errorf("topology: no buses")
+	}
+	for k := int64(0); k < n; k++ {
+		for _, br := range s.bridges {
+			br.drain(s.cycle)
+		}
+		for i, b := range s.buses {
+			if err := b.Run(1); err != nil {
+				return fmt.Errorf("topology: bus %s: %w", s.names[i], err)
+			}
+		}
+		s.cycle++
+	}
+	return nil
+}
+
+// miniCMP builds a cmp64-shaped crossbar in miniature: 8 cores homed
+// four apiece on two memory ports, every core also reaching a shared
+// directory port, tickets 1..4 by core index mod 4.
+func miniCMP(t *testing.T) *Crossbar {
+	t.Helper()
+	const cores, memPorts = 8, 2
+	masters := make([]CrossbarMaster, 0, cores)
+	for i := 0; i < cores; i++ {
+		mem, err := traffic.NewBernoulli(0.2, traffic.Fixed(8), 0, prng.Derive(5, fmt.Sprintf("core%d/mem", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := traffic.NewBernoulli(0.04, traffic.Fixed(2), 0, prng.Derive(5, fmt.Sprintf("core%d/dir", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		masters = append(masters, CrossbarMaster{
+			Name:    fmt.Sprintf("core%d", i),
+			Tickets: uint64(i%4) + 1,
+			Traffic: map[int]Generator{i / (cores / memPorts): mem, memPorts: dir},
+		})
+	}
+	x, err := NewCrossbar(CrossbarConfig{Ports: []string{"mem0", "mem1", "dir"}, Masters: masters, MaxBurst: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// fourSegmentChain builds a 4-segment chain with zero-delay, 2-entry
+// bridges, so the bridge FIFOs overflow.
+func fourSegmentChain(t *testing.T) *System {
+	t.Helper()
+	segs := make([]ChainSegment, 4)
+	links := make([]BridgeConfig, 3)
+	for s := range segs {
+		tag := fmt.Sprintf("seg%d", s)
+		segs[s] = ChainSegment{Name: tag, Bus: chainSegmentBus(t, 9, tag, 3, s > 0)}
+		if s > 0 {
+			links[s-1] = BridgeConfig{SrcSlave: 1, DstMaster: 0, DstSlave: 0, Delay: 0, FifoCap: 2}
+		}
+	}
+	sys, _, err := NewChain(segs, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// fabricCase is one System shape of the schedule-equivalence suite.
+type fabricCase struct {
+	name string
+	// build returns a fresh system and, when a hook records what it
+	// observes, the record.
+	build func(t *testing.T) (*System, *[]int64)
+	// chunks are the Run lengths, applied in order.
+	chunks []int64
+	// fast marks the buses that must reach the fast-forward engine
+	// (FastForwarded() > 0); every other bus must report 0.
+	fast map[int]bool
+	// drops demands that some bridge overflowed.
+	drops bool
+}
+
+func fabricCases() []fabricCase {
+	crossbar := func(t *testing.T) (*System, *[]int64) { return miniCMP(t).System(), nil }
+	chain := func(t *testing.T) (*System, *[]int64) { return fourSegmentChain(t), nil }
+	allFast := map[int]bool{0: true, 1: true, 2: true}
+	return []fabricCase{
+		{name: "crossbar", build: crossbar, chunks: []int64{4000}, fast: allFast},
+		{name: "chain", build: chain, chunks: []int64{4000}, drops: true},
+		{name: "mixed", chunks: []int64{4000}, fast: map[int]bool{1: true},
+			build: func(t *testing.T) (*System, *[]int64) {
+				// A bridged pair at indices 0 and 2 straddles a bus no
+				// bridge or hook couples to anything.
+				sys := NewSystem()
+				a := sys.AddBus("A", chainSegmentBus(t, 13, "A", 3, false))
+				sys.AddBus("solo", chainSegmentBus(t, 13, "solo", 3, false))
+				b := sys.AddBus("B", chainSegmentBus(t, 13, "B", 2, true))
+				if _, err := sys.Connect(a, b, BridgeConfig{SrcSlave: 1, DstMaster: 0, DstSlave: 0, Delay: 3, FifoCap: 8}); err != nil {
+					t.Fatal(err)
+				}
+				return sys, nil
+			}},
+		{name: "sibling-oncycle", chunks: []int64{4000},
+			build: func(t *testing.T) (*System, *[]int64) {
+				// Port 0's hook reads port 2's cycle: whole-system
+				// lock-step shows it the cycle port 0 is on.
+				sys := miniCMP(t).System()
+				var seen []int64
+				sys.Bus(0).OnCycle = func(int64, *bus.Bus) { seen = append(seen, sys.Bus(2).Cycle()) }
+				return sys, &seen
+			}},
+		{name: "sibling-onowner", chunks: []int64{4000},
+			build: func(t *testing.T) (*System, *[]int64) {
+				sys := miniCMP(t).System()
+				var seen []int64
+				sys.Bus(2).OnOwner = func(_ int64, m int) { seen = append(seen, int64(m), sys.Bus(0).Cycle()) }
+				return sys, &seen
+			}},
+		{name: "crossbar-chunks", build: crossbar, chunks: []int64{1, 7, 0, 333, -5, 1, 2658}, fast: allFast},
+		{name: "chain-chunks", build: chain, chunks: []int64{1, 7, 0, 333, -5, 1, 2658}, drops: true},
+	}
+}
+
+// TestRunMatchesLockStep proves System.Run reproduces the whole-system
+// lock-step loop bus for bus — collector fingerprints, cycle counts,
+// bridge counters and hook observations — on every schedule it picks,
+// and that n <= 0 leaves the system untouched.
+func TestRunMatchesLockStep(t *testing.T) {
+	for _, fc := range fabricCases() {
+		t.Run(fc.name, func(t *testing.T) {
+			ref, refSeen := fc.build(t)
+			got, gotSeen := fc.build(t)
+			var total int64
+			for _, n := range fc.chunks {
+				if err := got.Run(n); err != nil {
+					t.Fatal(err)
+				}
+				if n > 0 {
+					total += n
+				}
+				if got.Cycle() != total {
+					t.Fatalf("after Run(%d): system cycle %d, want %d", n, got.Cycle(), total)
+				}
+			}
+			if err := runLockStep(ref, total); err != nil {
+				t.Fatal(err)
+			}
+			fp := func(s *System) []uint64 {
+				var out []uint64
+				for i := 0; i < s.NumBuses(); i++ {
+					out = append(out, s.Bus(i).Collector().Fingerprint(), uint64(s.Bus(i).Cycle()))
+				}
+				return out
+			}
+			before := fp(got)
+			for _, n := range []int64{0, -5} {
+				if err := got.Run(n); err != nil {
+					t.Fatalf("Run(%d): %v", n, err)
+				}
+			}
+			if got.Cycle() != total || fmt.Sprint(fp(got)) != fmt.Sprint(before) {
+				t.Fatal("Run(0) or Run(-5) advanced the system")
+			}
+			if fmt.Sprint(before) != fmt.Sprint(fp(ref)) {
+				t.Errorf("buses diverged from lock-step:\n got %x\nwant %x", before, fp(ref))
+			}
+			for i := 0; i < got.NumBuses(); i++ {
+				if c := got.Bus(i).Cycle(); c != total {
+					t.Errorf("bus %s at cycle %d, want %d", got.BusName(i), c, total)
+				}
+				if ff := got.Bus(i).FastForwarded(); (ff > 0) != fc.fast[i] {
+					t.Errorf("bus %s fast-forwarded %d cycles, want fast engine %v", got.BusName(i), ff, fc.fast[i])
+				}
+			}
+			dropped := int64(0)
+			for j, br := range got.Bridges() {
+				st, want := br.Stats(), ref.Bridges()[j].Stats()
+				if st != want {
+					t.Errorf("bridge %s stats %+v, lock-step %+v", br.Name(), st, want)
+				}
+				if st.WordsIn == 0 {
+					t.Errorf("bridge %s carried no words; the case is vacuous", br.Name())
+				}
+				dropped += st.Dropped
+			}
+			if fc.drops && dropped == 0 {
+				t.Error("no bridge overflowed; the case is vacuous")
+			}
+			if refSeen != nil {
+				if len(*gotSeen) == 0 || fmt.Sprint(*gotSeen) != fmt.Sprint(*refSeen) {
+					t.Errorf("hook observations diverged from lock-step (%d vs %d records)", len(*gotSeen), len(*refSeen))
+				}
+			}
+		})
 	}
 }
