@@ -12,6 +12,11 @@
 //	lotterysim -config system.json -cpuprofile cpu.pb.gz
 //	lotterysim -config system.json -replicate 8 -check
 //
+// Replicas run on the lane engine unless the config arms faults, the
+// split watchdog or the starvation detector, or uses seed 0; those, the
+// single traced run of -vcd/-waveform and every -check run use the
+// scalar engine. Both engines print the same bytes.
+//
 // With -check, every finished replica is audited against the simulator's
 // conservation and accounting invariants (internal/check); violations
 // print to stderr, are journaled, and make the process exit 1.
@@ -75,7 +80,6 @@ func realMain() (code int) {
 	vcdPath := flag.String("vcd", "", "write a VCD waveform of the run to this path")
 	waveform := flag.Int("waveform", 0, "print an ASCII waveform of the first N cycles")
 	replicate := flag.Int("replicate", 1, "run N seed-replicas of the configuration (seed, seed+1, ...)")
-	lanes := flag.Bool("lanes", false, "run the replicas on the lane-batched engine (bit-identical to the scalar path; no per-cycle hooks)")
 	noAnalytic := flag.Bool("no-analytic", false, "always simulate, even when the regime classifier proves the result in closed form")
 	parallel := flag.Int("parallel", 0,
 		"replica workers (0 = $"+runner.EnvVar+" then GOMAXPROCS, 1 = serial)")
@@ -123,16 +127,12 @@ func realMain() (code int) {
 		return fail(err)
 	}
 
-	// The lane engine steps all replicas through one fused loop with no
-	// per-cycle hooks; features that need a callback every cycle are
-	// incompatible and must fail loudly, never silently fall back.
-	if *lanes {
-		if *vcdPath != "" || *waveform > 0 {
-			return fail(fmt.Errorf("-lanes runs the batched replica engine, which has no per-cycle waveform hooks; drop -lanes or drop -vcd/-waveform"))
-		}
-		if cfg.Faults != nil {
-			return fail(fmt.Errorf("-lanes cannot inject faults (fault hooks run per cycle); drop -lanes or the faults block"))
-		}
+	// -vcd and -waveform hook every cycle of one run.
+	n := max(*replicate, 1)
+	tracing := *vcdPath != "" || *waveform > 0
+	if tracing && n > 1 {
+		fmt.Fprintln(os.Stderr, "lotterysim: -vcd and -waveform require -replicate 1")
+		return 1
 	}
 
 	var j *obs.Journal
@@ -192,7 +192,7 @@ func realMain() (code int) {
 	// and skip the simulation. Flags that exist to observe a real run
 	// (-check, -vcd, -waveform, -listen) force simulation, as does
 	// -no-analytic (the A/B switch).
-	if !*noAnalytic && *vcdPath == "" && *waveform == 0 && !*audit && *listen == "" {
+	if !*noAnalytic && !tracing && !*audit && *listen == "" {
 		if pt, ok := cfg.AnalyticPoint(); ok {
 			if out, hit := analyticShortCircuit(cfg, pt, *replicate, j); hit {
 				fmt.Print(out)
@@ -201,104 +201,61 @@ func realMain() (code int) {
 		}
 	}
 
-	if *lanes {
-		return runLanes(runCtx, *deadline, cfg, *replicate, *parallel, *audit, resultCache, j, reg, prog, srv)
+	reps, err := buildReplicas(cfg, tracing || *audit)
+	if err != nil {
+		return fail(err)
 	}
 
-	if *replicate > 1 {
-		if *vcdPath != "" || *waveform > 0 {
-			fmt.Fprintln(os.Stderr, "lotterysim: -vcd and -waveform require -replicate 1")
-			return 1
-		}
-		// Each replica is an independent simulation of the same system
-		// at seed, seed+1, ...; replicas run on the worker pool and the
-		// reports print in replica order regardless of worker count.
-		// Every replica records into its own registry under a unique
-		// replica label, merged into the live registry as it finishes —
-		// the merged content is the same for any completion order
-		// because replica label sets are disjoint.
-		type replicaOut struct {
-			rep  lotterybus.Report
-			viol []string
-		}
-		outs, err := runner.MapCtx(runCtx, runner.Workers(*parallel), *replicate, func(i int) (replicaOut, error) {
-			c := *cfg
-			c.Seed = cfg.Seed + uint64(i)
-			sys, err := c.Build()
-			if err != nil {
-				return replicaOut{}, err
-			}
-			key, err := replicaKey(resultCache, &c)
-			if err != nil {
-				return replicaOut{}, err
-			}
-			// -check audits a live system, so it forces a simulation; the
-			// result is still Put so the run warms the cache.
-			col, src, err := runCached(resultCache, key, *audit, func() (*stats.Collector, error) {
-				if err := sys.RunContext(runCtx, c.Cycles); err != nil {
-					return nil, err
-				}
-				return sys.Collector(), nil
-			})
-			if err != nil {
-				return replicaOut{}, err
-			}
-			var out replicaOut
-			if src == cache.SourceComputed {
-				out.rep = sys.Report()
-			} else {
-				out.rep = sys.ReportFor(col)
-				j.Emit("cache_hit", map[string]any{
-					"replica": i, "key": key.String(), "source": src.String(),
-				})
-			}
-			if *audit {
-				out.viol = sys.CheckInvariants()
-			}
-			pt := obs.NewRegistry()
-			sys.RecordObsFor(col, pt, obs.Labels{"replica": strconv.Itoa(i)})
-			if err := reg.Merge(pt); err != nil {
-				return replicaOut{}, err
-			}
-			prog.Step()
-			emitReplica(j, i, c.Seed, out.rep)
-			return out, nil
-		})
-		if err != nil {
-			if code, hit := deadlineExit(j, *deadline, err); hit {
-				return code
-			}
+	// Replica i is the configuration at seed+i. Probe the cache for
+	// every replica, then simulate the misses. Tracing and -check observe
+	// a live run, so they force a simulation; the result is still
+	// published, so even they warm the cache. A replica's collector is
+	// reduced to its report and metrics as soon as it resolves, so memory
+	// does not grow with the collectors of every replica.
+	keys := make([]cache.Key, n)
+	srcs := make([]cache.Source, n)
+	reports := make([]lotterybus.Report, n)
+	viols := make([][]string, n)
+	resolve := func(i int, col *stats.Collector) {
+		reports[i] = reps.Report(col)
+		reps.RecordObs(col, reg, obs.Labels{"replica": strconv.Itoa(i)})
+		prog.Step()
+	}
+	var traced *lotterybus.System
+	var miss []int
+	for i := range n {
+		c := *cfg
+		c.Seed = cfg.Seed + uint64(i)
+		if keys[i], err = replicaKey(resultCache, &c); err != nil {
 			return fail(err)
 		}
-		reports := make([]lotterybus.Report, len(outs))
-		for i, out := range outs {
-			reports[i] = out.rep
-			fmt.Printf("==== replica %d (seed %d) ====\n%s\n", i, cfg.Seed+uint64(i), out.rep)
-			code = reportViolations(j, i, out.viol, code)
+		var col *stats.Collector
+		if !tracing && !*audit {
+			col, srcs[i], _ = resultCache.Get(keys[i]) // nil-safe miss without a cache
 		}
-		emitRunEnd(j, reports)
-		return finishRun(resultCache, reg, srv, code)
-	}
-
-	sys, err := cfg.Build()
-	if err != nil {
-		return fail(err)
-	}
-	// Tracing and auditing observe a live run, so they force a
-	// simulation even on a cached key (the result is still Put).
-	forceSim := *vcdPath != "" || *waveform > 0 || *audit
-	if *vcdPath != "" || *waveform > 0 {
-		sys.EnableTrace(0)
-	}
-	key, err := replicaKey(resultCache, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	col, src, err := runCached(resultCache, key, forceSim, func() (*stats.Collector, error) {
-		if err := sys.RunContext(runCtx, cfg.Cycles); err != nil {
-			return nil, err
+		if col == nil {
+			miss = append(miss, i)
+		} else {
+			resolve(i, col)
 		}
-		return sys.Collector(), nil
+	}
+	err = reps.Simulate(runCtx, miss, *parallel, func(sim *simcfg.Sim) error {
+		if tracing {
+			traced = sim.System()
+			traced.EnableTrace(0)
+		}
+		if err := sim.Run(nil); err != nil {
+			return err
+		}
+		for _, i := range sim.Covers {
+			col := sim.Collector(i)
+			if *audit {
+				viols[i] = sim.System().CheckInvariants()
+			}
+			resultCache.Put(keys[i], col) // nil-safe no-op without a cache
+			resolve(i, col)
+		}
+		return nil
 	})
 	if err != nil {
 		if code, hit := deadlineExit(j, *deadline, err); hit {
@@ -306,25 +263,26 @@ func realMain() (code int) {
 		}
 		return fail(err)
 	}
-	var rep lotterybus.Report
-	if src == cache.SourceComputed {
-		rep = sys.Report()
-	} else {
-		rep = sys.ReportFor(col)
-		j.Emit("cache_hit", map[string]any{
-			"replica": 0, "key": key.String(), "source": src.String(),
-		})
-	}
-	sys.RecordObsFor(col, reg, obs.Labels{"replica": "0"})
-	prog.Step()
-	emitReplica(j, 0, cfg.Seed, rep)
-	fmt.Println(rep)
-	if *audit {
-		code = reportViolations(j, 0, sys.CheckInvariants(), code)
+
+	// Print in replica order whatever the worker count.
+	for i, rep := range reports {
+		seed := cfg.Seed + uint64(i)
+		if srcs[i] != cache.SourceComputed {
+			j.Emit("cache_hit", map[string]any{
+				"replica": i, "key": keys[i].String(), "source": srcs[i].String(),
+			})
+		}
+		emitReplica(j, i, seed, rep)
+		if n > 1 {
+			fmt.Printf("==== replica %d (seed %d) ====\n%s\n", i, seed, rep)
+		} else {
+			fmt.Println(rep)
+		}
+		code = reportViolations(j, i, viols[i], code)
 	}
 	if *waveform > 0 {
 		fmt.Println()
-		fmt.Print(sys.Waveform(0, *waveform))
+		fmt.Print(traced.Waveform(0, *waveform))
 	}
 	if *vcdPath != "" {
 		f, err := os.Create(*vcdPath)
@@ -332,13 +290,25 @@ func realMain() (code int) {
 			return fail(err)
 		}
 		defer f.Close()
-		if err := sys.WriteVCD(f); err != nil {
+		if err := traced.WriteVCD(f); err != nil {
 			return fail(err)
 		}
 		fmt.Printf("\nVCD written to %s\n", *vcdPath)
 	}
-	emitRunEnd(j, []lotterybus.Report{rep})
+	emitRunEnd(j, reports)
 	return finishRun(resultCache, reg, srv, code)
+}
+
+// buildReplicas returns the run's seed-replicas. The config picks the
+// engine (simcfg.LaneEngine) unless scalar is set: -vcd and -waveform
+// need the scalar engine's per-cycle hooks, and -check its full audit
+// (package check), which covers more invariants than the lane engine's
+// own ledgers.
+func buildReplicas(cfg *simcfg.SimConfig, scalar bool) (*simcfg.Replicas, error) {
+	if scalar {
+		return cfg.BuildScalarReplicas()
+	}
+	return cfg.BuildReplicas()
 }
 
 // deadlineExit handles a run error caused by the -deadline budget:
@@ -368,23 +338,6 @@ func replicaKey(rc *cache.Cache, c *simcfg.SimConfig) (cache.Key, error) {
 	return cache.KeyOf(canon, c.Seed, ""), nil
 }
 
-// runCached resolves one replica through the result cache: a lookup,
-// then — on a miss or with no cache — exactly one simulation via run.
-// forceSim bypasses the read side (flags like -check and -vcd exist to
-// observe a live run) but still publishes the result, so even an
-// auditing run warms the cache.
-func runCached(rc *cache.Cache, key cache.Key, forceSim bool, run func() (*stats.Collector, error)) (*stats.Collector, cache.Source, error) {
-	if forceSim {
-		col, err := run()
-		if err != nil {
-			return nil, cache.SourceComputed, err
-		}
-		rc.Put(key, col) // nil-safe no-op without a cache
-		return col, cache.SourceComputed, nil
-	}
-	return rc.GetOrCompute(key, run)
-}
-
 // finishRun records the cache outcome in the registry and on stderr,
 // then hands off to the telemetry server's interrupt wait.
 func finishRun(rc *cache.Cache, reg *obs.Registry, srv *obs.Server, code int) int {
@@ -396,88 +349,6 @@ func finishRun(rc *cache.Cache, reg *obs.Registry, srv *obs.Server, code int) in
 			s.Hits(), s.MemoryHits, s.DiskHits, s.Misses, s.Evictions, s.BytesRead, s.BytesWritten)
 	}
 	return serveUntilInterrupt(srv, code)
-}
-
-// runLanes runs all replicas through the lane-batched engine and prints
-// the same per-replica reports, in the same format, as the scalar
-// replicate path — each replica is bit-identical to its scalar twin.
-// Because scalar and lane replicas are bit-identical, they share cache
-// entries: a lane run replays a scalar run's cache and vice versa, and
-// when every lane's key hits (and -check does not demand a live
-// engine), the fused Run is skipped entirely.
-func runLanes(ctx context.Context, deadline time.Duration, cfg *simcfg.SimConfig, replicas, parallel int, audit bool, rc *cache.Cache, j *obs.Journal, reg *obs.Registry, prog *obs.Progress, srv *obs.Server) int {
-	code := 0
-	rs, err := cfg.BuildReplicaSet(replicas)
-	if err != nil {
-		return fail(err)
-	}
-	rs.SetParallel(parallel)
-
-	keys := make([]cache.Key, replicas)
-	cols := make([]*stats.Collector, replicas)
-	srcs := make([]cache.Source, replicas)
-	hits := 0
-	if rc != nil {
-		for i := 0; i < replicas; i++ {
-			c := *cfg
-			c.Seed = cfg.Seed + uint64(i)
-			if keys[i], err = replicaKey(rc, &c); err != nil {
-				return fail(err)
-			}
-			if !audit {
-				if col, src, ok := rc.Get(keys[i]); ok {
-					cols[i], srcs[i] = col, src
-					hits++
-				}
-			}
-		}
-	}
-	// All replicas cached: replay without running. Collector(0) forces
-	// the engine's lazy build so master and arbiter names resolve; a nil
-	// return means the build failed — fall through to Run for the real
-	// error.
-	warm := rc != nil && !audit && hits == replicas && rs.Collector(0) != nil
-	if !warm {
-		if err := rs.RunContext(ctx, cfg.Cycles); err != nil {
-			if code, hit := deadlineExit(j, deadline, err); hit {
-				return code
-			}
-			return fail(err)
-		}
-	}
-	reports := make([]lotterybus.Report, replicas)
-	for i := 0; i < replicas; i++ {
-		var rep lotterybus.Report
-		col := cols[i]
-		if col != nil {
-			rep = rs.ReportFor(i, col)
-			j.Emit("cache_hit", map[string]any{
-				"replica": i, "key": keys[i].String(), "source": srcs[i].String(),
-			})
-		} else {
-			col = rs.Collector(i)
-			rep = rs.Report(i)
-			rc.Put(keys[i], col) // nil-safe no-op without a cache
-		}
-		reports[i] = rep
-		pt := obs.NewRegistry()
-		rs.RecordObsFor(col, pt, obs.Labels{"replica": strconv.Itoa(i)})
-		if err := reg.Merge(pt); err != nil {
-			return fail(err)
-		}
-		prog.Step()
-		emitReplica(j, i, cfg.Seed+uint64(i), rep)
-		if replicas > 1 {
-			fmt.Printf("==== replica %d (seed %d) ====\n%s\n", i, cfg.Seed+uint64(i), rep)
-		} else {
-			fmt.Println(rep)
-		}
-		if audit {
-			code = reportViolations(j, i, rs.CheckInvariants(i), code)
-		}
-	}
-	emitRunEnd(j, reports)
-	return finishRun(rc, reg, srv, code)
 }
 
 // analyticShortCircuit classifies the configured point; when it is

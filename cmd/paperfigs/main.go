@@ -8,16 +8,16 @@
 //	           slack|pipeline|compensation|burst|models|tail|replay|split|scale|cmp64|adaptation|
 //	           wrr|regimes|degradation|babble]
 //	          [-cycles N] [-seed S] [-parallel W] [-csv DIR]
-//	          [-lanes] [-no-analytic]
+//	          [-no-analytic]
 //	          [-cache-dir DIR] [-no-cache]
 //	          [-journal FILE] [-progress]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -no-analytic, sweep points the regime classifier proves in closed
 // form (see the "regimes" section) are simulated anyway and the share
-// error against the closed form is reported. With -lanes, experiments
-// that support it run on the lane-batched engine; results are
-// bit-identical to the scalar engine's.
+// error against the closed form is reported. Every experiment runs on
+// the scalar engine; only seed-replicated runs of one configuration
+// (lotterysim, lotteryd) move to the lane engine.
 //
 // With -cache-dir DIR, the cache-wired sweeps (Figs. 4, 6a, 6b, 12a,
 // 12b, 12b1, 12c) resolve each point through a content-addressed result
@@ -65,7 +65,6 @@ func realMain() (code int) {
 	parallel := flag.Int("parallel", 0,
 		"sweep workers (0 = $"+runner.EnvVar+" then GOMAXPROCS, 1 = serial); results are identical for any value")
 	csvDir := flag.String("csv", "", "also write each table/figure as CSV into this directory")
-	lanesFlag := flag.Bool("lanes", false, "run lane-engine-capable experiments (regimes) on the lane-batched engine; results are bit-identical")
 	noAnalytic := flag.Bool("no-analytic", false, "disable the analytic short-circuit: simulate every sweep point and report the share error against the closed forms")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory: sweep points whose key is already stored replay from the cache instead of simulating")
 	noCache := flag.Bool("no-cache", false, "ignore -cache-dir and always simulate (the cache A/B switch)")
@@ -106,8 +105,7 @@ func realMain() (code int) {
 		attachHeartbeat(j, os.Stderr)
 	}
 
-	o := expt.Options{Cycles: *cycles, Seed: *seed, Parallel: *parallel,
-		Lanes: *lanesFlag, NoAnalytic: *noAnalytic}
+	o := expt.Options{Cycles: *cycles, Seed: *seed, Parallel: *parallel, NoAnalytic: *noAnalytic}
 	if *cacheDir != "" && !*noCache {
 		o.Cache = cache.New(*cacheDir)
 	}

@@ -190,6 +190,9 @@ func (c *Cache) Len() int {
 // disk) and reported as a miss. The returned collector is private to
 // the caller — hits never alias each other or the stored bytes.
 func (c *Cache) Get(key Key) (*stats.Collector, Source, bool) {
+	if c == nil {
+		return nil, SourceComputed, false
+	}
 	col, src := c.lookup(key)
 	c.count(src, col != nil)
 	return col, src, col != nil
@@ -273,13 +276,29 @@ func (c *Cache) Put(key Key, col *stats.Collector) {
 // not cached — a later call retries. Exactly one counter event (hit or
 // miss) is recorded per call.
 func (c *Cache) GetOrCompute(key Key, compute func() (*stats.Collector, error)) (*stats.Collector, Source, error) {
+	return c.flight(key, compute, true)
+}
+
+// Share is GetOrCompute for a caller whose Get of key just missed: it
+// shares one computation with concurrent Share and GetOrCompute callers
+// of key, and returns the entry another caller published in the
+// meantime rather than recompute it. It records no lookup, so the Get
+// that missed stays the one counter event.
+func (c *Cache) Share(key Key, compute func() (*stats.Collector, error)) (*stats.Collector, Source, error) {
+	return c.flight(key, compute, false)
+}
+
+// flight is GetOrCompute; count selects whether it records its lookup.
+func (c *Cache) flight(key Key, compute func() (*stats.Collector, error), count bool) (*stats.Collector, Source, error) {
 	if c == nil {
 		col, err := compute()
 		return col, SourceComputed, err
 	}
 	for {
 		if col, src := c.lookup(key); col != nil {
-			c.count(src, true)
+			if count {
+				c.count(src, true)
+			}
 			return col, src, nil
 		}
 		c.mu.Lock()
@@ -307,7 +326,9 @@ func (c *Cache) GetOrCompute(key Key, compute func() (*stats.Collector, error)) 
 		if err != nil {
 			return nil, SourceComputed, err
 		}
-		c.misses.Add(1)
+		if count {
+			c.misses.Add(1)
+		}
 		return col, SourceComputed, nil
 	}
 }

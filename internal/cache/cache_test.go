@@ -3,6 +3,7 @@ package cache
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,12 @@ func TestNilCacheIsNoOp(t *testing.T) {
 	if err != nil || col == nil || src != SourceComputed {
 		t.Fatalf("nil cache must compute: src=%v err=%v", src, err)
 	}
+	col, src, err = c.Share(testKey(0), func() (*stats.Collector, error) {
+		return testCollector(0), nil
+	})
+	if err != nil || col == nil || src != SourceComputed {
+		t.Fatalf("nil cache Share must compute: src=%v err=%v", src, err)
+	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats: %+v", s)
 	}
@@ -63,6 +70,9 @@ func TestNilCacheIsNoOp(t *testing.T) {
 		t.Fatal("nil cache Len")
 	}
 	c.Put(testKey(0), testCollector(0)) // must not panic
+	if col, src, ok := c.Get(testKey(0)); ok || col != nil || src != SourceComputed {
+		t.Fatalf("nil cache Get = (%v, %v, %v), want a miss", col, src, ok)
+	}
 }
 
 func TestMemoryRoundTrip(t *testing.T) {
@@ -237,6 +247,60 @@ func TestSingleflight(t *testing.T) {
 	s := c.Stats()
 	if s.Misses != keys || s.Hits()+s.Misses != keys*callers {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestShareAfterMiss proves Share deduplicates like GetOrCompute for
+// callers whose Get already missed — one compute per key, every caller
+// sees the result — while the Gets stay the only counter events.
+func TestShareAfterMiss(t *testing.T) {
+	c := New("")
+	const keys, callers = 4, 16
+	var computes atomic.Int64
+	gate := make(chan struct{})
+
+	var wg sync.WaitGroup
+	fps := make([]uint64, keys*callers)
+	for k := 0; k < keys; k++ {
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(k, i int) {
+				defer wg.Done()
+				if _, _, ok := c.Get(testKey(k)); ok {
+					t.Error("hit before any compute")
+				}
+				<-gate
+				col, _, err := c.Share(testKey(k), func() (*stats.Collector, error) {
+					computes.Add(1)
+					return testCollector(k), nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fps[k*callers+i] = col.Fingerprint()
+			}(k, i)
+		}
+	}
+	for c.Stats().Misses != keys*callers {
+		runtime.Gosched() // every Get misses before any Share computes
+	}
+	close(gate)
+	wg.Wait()
+
+	if got := computes.Load(); got != keys {
+		t.Fatalf("computed %d times, want exactly %d (one per distinct key)", got, keys)
+	}
+	for k := 0; k < keys; k++ {
+		want := testCollector(k).Fingerprint()
+		for i := 0; i < callers; i++ {
+			if fps[k*callers+i] != want {
+				t.Fatalf("caller %d of key %d saw wrong fingerprint", i, k)
+			}
+		}
+	}
+	if s := c.Stats(); s.Misses != keys*callers || s.Hits() != 0 {
+		t.Fatalf("stats: %+v, want only the %d Get misses", s, keys*callers)
 	}
 }
 

@@ -43,10 +43,6 @@ type Options struct {
 	// LOTTERYBUS_PARALLEL environment variable and then GOMAXPROCS;
 	// 1 forces a serial run.
 	Parallel int
-	// Lanes runs the experiments that support it (currently RunRegimes)
-	// on the lane-batched engine instead of the scalar engine. Results
-	// are bit-identical; the flag exists for A/B validation.
-	Lanes bool
 	// NoAnalytic disables the analytic short-circuit: every sweep point
 	// simulates, even ones the regime classifier proves in closed form,
 	// and the simulated/analytic share error is recorded instead.

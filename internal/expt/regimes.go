@@ -9,7 +9,6 @@ import (
 	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/core"
-	"lotterybus/internal/lanes"
 	"lotterybus/internal/prng"
 	"lotterybus/internal/runner"
 	"lotterybus/internal/stats"
@@ -21,9 +20,7 @@ import (
 // proves: saturated and idle points have oracle-proven closed forms, so
 // only the mixed (busy Bernoulli) column is simulated. Options.NoAnalytic
 // simulates everything instead and records the share error against the
-// closed forms — the A/B that validates the short-circuit. Options.Lanes
-// simulates on the lane-batched engine (internal/lanes) with the same
-// streams, so its rows are bit-identical to the scalar engine's.
+// closed forms — the A/B that validates the short-circuit.
 
 // regimeArbiters are the sweep's arbiter kinds (the analytic.Kind*
 // vocabulary; all five have proven saturated closed forms).
@@ -169,32 +166,9 @@ func regimePoint(kind, regime string, weights []uint64) analytic.Point {
 	return p
 }
 
-// simulateRegimePoint runs one sweep point on the scalar or lane engine
-// and returns per-master shares and utilization. Both paths construct
-// identical generators and arbiters from the same derived streams, so
-// they are bit-identical.
+// simulateRegimePoint runs one sweep point and returns per-master shares
+// and utilization.
 func simulateRegimePoint(o Options, kind, regime, tag string) ([]float64, float64, error) {
-	if o.Lanes {
-		e := lanes.New(bus.Config{MaxBurst: 16}, 1)
-		for i := range regimeWeights {
-			i := i
-			e.AddMaster(fmt.Sprintf("C%d", i+1), bus.MasterOpts{Tickets: regimeWeights[i]},
-				func(int) (bus.Generator, error) { return regimeGen(o, regime, i, tag) })
-		}
-		e.AddSlave("shared-memory", bus.SlaveOpts{})
-		e.SetArbiter(func(int) (bus.Arbiter, error) {
-			return regimeArbiter(o, kind, regimeWeights, tag)
-		})
-		if err := e.Run(o.Cycles); err != nil {
-			return nil, 0, err
-		}
-		col := e.Collector(0)
-		shares := make([]float64, len(regimeWeights))
-		for i := range shares {
-			shares[i] = col.BandwidthFraction(i)
-		}
-		return shares, col.Utilization(), nil
-	}
 	b := bus.New(bus.Config{MaxBurst: 16})
 	for i := range regimeWeights {
 		gen, err := regimeGen(o, regime, i, tag)

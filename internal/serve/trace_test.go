@@ -57,19 +57,19 @@ func spanCounts(doc chromeDoc) map[string]int {
 	return out
 }
 
-// TestTraceColdVsWarmSpanTrees is the tentpole's acceptance test: the
-// same job run cold (simulating) and warm (cache replay) must produce
-// structurally different span trees — the cold trace has simulate and
-// chunk spans under each replica, the warm one resolves entirely at the
-// cache probe.
+// TestTraceColdVsWarmSpanTrees checks that the same job run cold
+// (simulating) and warm (cache replay) produces structurally different
+// span trees — the cold trace has one lane-engine simulate span with
+// chunk children and a snapshot_publish per replica, the warm one
+// resolves entirely at the cache probes.
 func TestTraceColdVsWarmSpanTrees(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
 
-	cold := submit(t, ts, submitBody("alice", 2, false))
+	cold := submit(t, ts, submitBody("alice", 2))
 	if got := waitTerminal(t, ts, cold.ID, 10*time.Second); got.State != StateDone {
 		t.Fatalf("cold job ended %s (%s)", got.State, got.Reason)
 	}
-	warm := submit(t, ts, submitBody("alice", 2, false))
+	warm := submit(t, ts, submitBody("alice", 2))
 	if got := waitTerminal(t, ts, warm.ID, 10*time.Second); got.State != StateDone {
 		t.Fatalf("warm job ended %s (%s)", got.State, got.Reason)
 	}
@@ -92,15 +92,21 @@ func TestTraceColdVsWarmSpanTrees(t *testing.T) {
 			t.Fatalf("cold trace missing %q span (have %v)", name, coldN)
 		}
 	}
-	// Cold: two replicas, each with simulate + chunk + snapshot_publish.
+	// Cold: two replicas on the lane engine — one simulate span for the
+	// job, with chunks, and one snapshot_publish per replica.
 	if coldN["replica 0"] != 1 || coldN["replica 1"] != 1 {
 		t.Fatalf("cold trace replica spans = %v, want one each for replicas 0 and 1", coldN)
 	}
-	if coldN["simulate"] != 2 || coldN["snapshot_publish"] != 2 {
-		t.Fatalf("cold trace simulate/snapshot_publish = %d/%d, want 2/2", coldN["simulate"], coldN["snapshot_publish"])
+	if coldN["simulate"] != 1 || coldN["snapshot_publish"] != 2 {
+		t.Fatalf("cold trace simulate/snapshot_publish = %d/%d, want 1/2", coldN["simulate"], coldN["snapshot_publish"])
 	}
-	if coldN["chunk"] < 2 {
-		t.Fatalf("cold trace chunk spans = %d, want >= 2 (one per replica minimum)", coldN["chunk"])
+	if coldN["chunk"] < 1 {
+		t.Fatalf("cold trace chunk spans = %d, want >= 1", coldN["chunk"])
+	}
+	for _, ev := range coldDoc.TraceEvents {
+		if ev.Name == "simulate" && ev.Args["engine"] != "lanes" {
+			t.Fatalf("cold simulate span args = %v, want engine=lanes", ev.Args)
+		}
 	}
 	// Warm: cache probes hit, nothing simulates, nothing re-publishes.
 	if warmN["cache_probe"] != 2 {
@@ -141,7 +147,7 @@ func TestTraceEndpointUnknownJob(t *testing.T) {
 // per-stage latency decomposition into the terminal event.
 func TestTerminalEventCarriesSpanTotals(t *testing.T) {
 	_, ts := newTestServer(t, Options{Jobs: 1})
-	st := submit(t, ts, submitBody("alice", 1, false))
+	st := submit(t, ts, submitBody("alice", 1))
 	waitTerminal(t, ts, st.ID, 10*time.Second)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
@@ -225,7 +231,7 @@ func TestTracingLeavesSimulationUntouched(t *testing.T) {
 
 	// Served job: the fully traced pipeline reports the same fingerprint.
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
-	st := submit(t, ts, submitBody("alice", 1, false))
+	st := submit(t, ts, submitBody("alice", 1))
 	done := waitTerminal(t, ts, st.ID, 10*time.Second)
 	if done.State != StateDone || len(done.Replicas) != 1 {
 		t.Fatalf("served job: %+v", done)
@@ -263,7 +269,7 @@ func TestSlowJobJournalsSpanTree(t *testing.T) {
 		SlowJob: time.Nanosecond, // everything is slow
 		Journal: obs.NewJournal(&sb),
 	})
-	st := submit(t, ts, submitBody("alice", 1, false))
+	st := submit(t, ts, submitBody("alice", 1))
 	waitTerminal(t, ts, st.ID, 10*time.Second)
 
 	deadline := obs.Now().Add(5 * time.Second)

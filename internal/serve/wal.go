@@ -16,7 +16,7 @@ import (
 // fsynced before a job's 202 is sent, so an accepted job survives a
 // crash of the process. Two record kinds:
 //
-//	{"op":"accept","id":"j7","client":"alice","replicate":4,"lanes":false,"config":{...canonical...}}
+//	{"op":"accept","id":"j7","client":"alice","replicate":4,"config":{...canonical...}}
 //	{"op":"end","id":"j7","status":"done"}
 //
 // Recovery is a replay: accepts without a matching end are the jobs the
@@ -32,7 +32,6 @@ type walRecord struct {
 	ID        string          `json:"id"`
 	Client    string          `json:"client,omitempty"`
 	Replicate int             `json:"replicate,omitempty"`
-	Lanes     bool            `json:"lanes,omitempty"`
 	Config    json.RawMessage `json:"config,omitempty"`
 	Status    string          `json:"status,omitempty"`
 	Reason    string          `json:"reason,omitempty"`
@@ -152,7 +151,6 @@ func (w *wal) appendAccept(job *Job) error {
 		ID:        job.ID,
 		Client:    job.Client,
 		Replicate: job.Replicate,
-		Lanes:     job.Lanes,
 		Config:    json.RawMessage(job.Canonical),
 	})
 }

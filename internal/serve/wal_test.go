@@ -2,10 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWALRoundTrip(t *testing.T) {
@@ -18,7 +20,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("fresh WAL: pending=%d maxID=%d, want 0,0", len(pending), maxID)
 	}
 	j1 := &Job{ID: "j1", Client: "a", Replicate: 2, Canonical: []byte(`{"cycles":1}`)}
-	j2 := &Job{ID: "j2", Client: "b", Replicate: 1, Lanes: true, Canonical: []byte(`{"cycles":2}`)}
+	j2 := &Job{ID: "j2", Client: "b", Replicate: 1, Canonical: []byte(`{"cycles":2}`)}
 	if err := w.appendAccept(j1); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if len(pending) != 1 || pending[0].ID != "j2" {
 		t.Fatalf("pending = %+v, want exactly j2 (j1 ended)", pending)
 	}
-	if !pending[0].Lanes || pending[0].Client != "b" {
+	if pending[0].Client != "b" || pending[0].Replicate != 1 {
 		t.Fatalf("pending j2 lost fields: %+v", pending[0])
 	}
 	// Compaction on open rewrote the file to pending accepts only.
@@ -58,6 +60,34 @@ func TestWALRoundTrip(t *testing.T) {
 	var rec walRecord
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil || rec.ID != "j2" {
 		t.Fatalf("compacted record = %q (err %v), want accept j2", lines[0], err)
+	}
+}
+
+// TestWALAcceptWithLanesRecovers replays an accept record from before
+// jobs lost their "lanes" field: the field is ignored, and the recovered
+// job finishes with the fingerprints of a fresh submission.
+func TestWALAcceptWithLanesRecovers(t *testing.T) {
+	job, err := ParseJob(strings.NewReader(submitBody("a", 2)), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	line := fmt.Sprintf(`{"op":"accept","id":"j1","client":"a","replicate":2,"lanes":true,"config":%s}`+"\n", job.Canonical)
+	if err := os.WriteFile(filepath.Join(dataDir, "jobs.wal"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{DataDir: dataDir, Jobs: 1})
+	got := waitTerminal(t, ts, "j1", 10*time.Second)
+
+	_, tsFresh := newTestServer(t, Options{Jobs: 1})
+	want := waitTerminal(t, tsFresh, submit(t, tsFresh, submitBody("a", 2)).ID, 10*time.Second)
+	if got.State != StateDone || len(got.Replicas) != 2 || want.State != StateDone {
+		t.Fatalf("recovered job %s (%s) with %d replicas; fresh job %s", got.State, got.Reason, len(got.Replicas), want.State)
+	}
+	for i := range got.Replicas {
+		if got.Replicas[i].Fingerprint != want.Replicas[i].Fingerprint {
+			t.Fatalf("replica %d: recovered %s, fresh %s", i, got.Replicas[i].Fingerprint, want.Replicas[i].Fingerprint)
+		}
 	}
 }
 

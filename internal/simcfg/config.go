@@ -170,27 +170,11 @@ func ParseConfig(r io.Reader) (*SimConfig, error) {
 	return &cfg, nil
 }
 
-// Build constructs the System described by the config.
+// Build constructs the System described by the config — the scalar
+// engine, one replica at Seed.
 func (cfg *SimConfig) Build() (*lotterybus.System, error) {
-	sysCfg := lotterybus.Config{
-		MaxBurst:   cfg.MaxBurst,
-		ArbLatency: cfg.ArbLatency,
-		Seed:       cfg.Seed,
-	}
-	if r := cfg.Resilience; r != nil {
-		sysCfg.RetryLimit = r.RetryLimit
-		sysCfg.RetryBackoff = r.RetryBackoff
-		sysCfg.SplitTimeout = r.SplitTimeout
-		sysCfg.StarvationThreshold = r.StarvationThreshold
-	}
-	sys := lotterybus.NewSystem(sysCfg)
-	for _, s := range cfg.Slaves {
-		if s.SplitLatency > 0 {
-			sys.AddSplitSlave(s.Name, s.SplitLatency)
-		} else {
-			sys.AddSlave(s.Name, s.WaitStates)
-		}
-	}
+	sys := lotterybus.NewSystem(cfg.busConfig())
+	cfg.addSlaves(sys)
 	for i, m := range cfg.Masters {
 		gen, err := m.Traffic.build(i, cfg.Seed)
 		if err != nil {
@@ -203,108 +187,122 @@ func (cfg *SimConfig) Build() (*lotterybus.System, error) {
 			return nil, fmt.Errorf("config faults: %w", err)
 		}
 	}
-	switch cfg.Arbiter.Kind {
-	case "lottery", "":
-		return sys, sys.UseLottery()
-	case "dynamic-lottery":
-		return sys, sys.UseDynamicLottery()
-	case "compensated-lottery":
-		return sys, sys.UseCompensatedLottery()
-	case "priority":
-		return sys, sys.UsePriority()
-	case "tdma":
-		spw := cfg.Arbiter.SlotsPerWeight
-		if spw == 0 {
-			spw = 16
-		}
-		return sys, sys.UseTDMA(spw, true)
-	case "tdma1":
-		spw := cfg.Arbiter.SlotsPerWeight
-		if spw == 0 {
-			spw = 16
-		}
-		return sys, sys.UseTDMA(spw, false)
-	case "round-robin":
-		return sys, sys.UseRoundRobin()
-	case "token-ring":
-		return sys, sys.UseTokenRing()
-	default:
-		return nil, fmt.Errorf("unknown arbiter kind %q", cfg.Arbiter.Kind)
-	}
+	return sys, cfg.useArbiter(sys)
 }
 
 // BuildReplicaSet constructs `replicas` seed-replicas of the system on
-// the lane-batched engine (-lanes): replica i is bit-identical to
-// Build() on a copy of the config with Seed+i — traffic streams are
-// seeded from cfg.Seed+i exactly as the scalar replicate loop seeds
-// them, and the Use* selectors derive replica i's arbiter stream from
-// Seed+i with the scalar labels.
+// the lane engine: replica i is bit-identical to Build() on a copy of
+// the config with Seed+i — traffic streams are seeded from cfg.Seed+i
+// exactly as Build seeds them, and the Use* selectors derive replica
+// i's arbiter stream from Seed+i with the scalar labels.
 //
-// The lane engine has no per-cycle hooks, so configurations arming
-// fault injection are rejected here, and ones arming the split
-// watchdog or starvation detector are rejected by the engine at Run.
-// Seed 0 is rejected too: the scalar path promotes a zero system seed
-// to 1 per replica, which collides replica 0's and replica 1's arbiter
-// streams — a degenerate shape the replica set will not reproduce.
+// Configs LaneEngine declines are rejected: fault injection here, the
+// split watchdog and starvation detector by the engine at Run. Seed 0
+// is rejected too: the scalar path promotes a zero system seed to 1 per
+// replica, which collides replica 0's and replica 1's arbiter streams —
+// a degenerate shape the replica set will not reproduce.
 func (cfg *SimConfig) BuildReplicaSet(replicas int) (*lotterybus.ReplicaSet, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("fault injection needs the per-cycle scalar engine; drop -lanes")
+		return nil, fmt.Errorf("fault injection needs the per-cycle scalar engine")
 	}
 	if cfg.Seed == 0 {
 		return nil, fmt.Errorf("the lane engine needs a positive seed (seed 0 collides replica arbiter streams)")
 	}
-	sysCfg := lotterybus.Config{
-		MaxBurst:   cfg.MaxBurst,
-		ArbLatency: cfg.ArbLatency,
-		Seed:       cfg.Seed,
-	}
-	if r := cfg.Resilience; r != nil {
-		sysCfg.RetryLimit = r.RetryLimit
-		sysCfg.RetryBackoff = r.RetryBackoff
-		sysCfg.SplitTimeout = r.SplitTimeout
-		sysCfg.StarvationThreshold = r.StarvationThreshold
-	}
-	rs := lotterybus.NewReplicaSet(sysCfg, replicas)
-	for _, s := range cfg.Slaves {
-		if s.SplitLatency > 0 {
-			rs.AddSplitSlave(s.Name, s.SplitLatency)
-		} else {
-			rs.AddSlave(s.Name, s.WaitStates)
-		}
-	}
+	rs := lotterybus.NewReplicaSet(cfg.busConfig(), replicas)
+	cfg.addSlaves(rs)
 	for i, m := range cfg.Masters {
 		i, m := i, m
 		rs.AddMaster(m.Name, m.Weight, func(replica int) (lotterybus.Generator, error) {
 			return m.Traffic.build(i, cfg.Seed+uint64(replica))
 		})
 	}
+	return rs, cfg.useArbiter(rs)
+}
+
+// LaneEngine reports whether the config's seed replicas run on the lane
+// engine (BuildReplicaSet) rather than one scalar System each (Build).
+// Replicas run on the lane engine unless the config arms faults, the
+// split watchdog or the starvation detector, or uses seed 0: the lane
+// engine has no per-cycle hooks, and seed 0 is a shape it does not
+// reproduce. Both engines are bit-identical wherever this holds, so the
+// choice changes speed, never results.
+func (cfg *SimConfig) LaneEngine() bool {
+	return !cfg.perCycleHooks() && cfg.Seed != 0
+}
+
+// perCycleHooks reports whether the config arms machinery that runs
+// every cycle: fault injection, the split watchdog or the starvation
+// detector.
+func (cfg *SimConfig) perCycleHooks() bool {
+	r := cfg.Resilience
+	return cfg.Faults != nil || r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0)
+}
+
+// busConfig is the lotterybus.Config both engines are built from.
+func (cfg *SimConfig) busConfig() lotterybus.Config {
+	c := lotterybus.Config{
+		MaxBurst:   cfg.MaxBurst,
+		ArbLatency: cfg.ArbLatency,
+		Seed:       cfg.Seed,
+	}
+	if r := cfg.Resilience; r != nil {
+		c.RetryLimit = r.RetryLimit
+		c.RetryBackoff = r.RetryBackoff
+		c.SplitTimeout = r.SplitTimeout
+		c.StarvationThreshold = r.StarvationThreshold
+	}
+	return c
+}
+
+// fabric is the construction surface System and ReplicaSet share.
+type fabric interface {
+	AddSlave(name string, waitStates int) int
+	AddSplitSlave(name string, latency int) int
+	UseLottery() error
+	UseDynamicLottery() error
+	UseCompensatedLottery() error
+	UsePriority() error
+	UseTDMA(slotsPerWeight int, twoLevel bool) error
+	UseRoundRobin() error
+	UseTokenRing() error
+}
+
+// addSlaves attaches the configured slaves in index order.
+func (cfg *SimConfig) addSlaves(f fabric) {
+	for _, s := range cfg.Slaves {
+		if s.SplitLatency > 0 {
+			f.AddSplitSlave(s.Name, s.SplitLatency)
+		} else {
+			f.AddSlave(s.Name, s.WaitStates)
+		}
+	}
+}
+
+// useArbiter selects the configured arbitration scheme.
+func (cfg *SimConfig) useArbiter(f fabric) error {
+	spw := cfg.Arbiter.SlotsPerWeight
+	if spw == 0 {
+		spw = 16
+	}
 	switch cfg.Arbiter.Kind {
 	case "lottery", "":
-		return rs, rs.UseLottery()
+		return f.UseLottery()
 	case "dynamic-lottery":
-		return rs, rs.UseDynamicLottery()
+		return f.UseDynamicLottery()
 	case "compensated-lottery":
-		return rs, rs.UseCompensatedLottery()
+		return f.UseCompensatedLottery()
 	case "priority":
-		return rs, rs.UsePriority()
+		return f.UsePriority()
 	case "tdma":
-		spw := cfg.Arbiter.SlotsPerWeight
-		if spw == 0 {
-			spw = 16
-		}
-		return rs, rs.UseTDMA(spw, true)
+		return f.UseTDMA(spw, true)
 	case "tdma1":
-		spw := cfg.Arbiter.SlotsPerWeight
-		if spw == 0 {
-			spw = 16
-		}
-		return rs, rs.UseTDMA(spw, false)
+		return f.UseTDMA(spw, false)
 	case "round-robin":
-		return rs, rs.UseRoundRobin()
+		return f.UseRoundRobin()
 	case "token-ring":
-		return rs, rs.UseTokenRing()
+		return f.UseTokenRing()
 	default:
-		return nil, fmt.Errorf("unknown arbiter kind %q", cfg.Arbiter.Kind)
+		return fmt.Errorf("unknown arbiter kind %q", cfg.Arbiter.Kind)
 	}
 }
 
@@ -314,10 +312,7 @@ func (cfg *SimConfig) BuildReplicaSet(replicas int) (*lotterybus.ReplicaSet, err
 // split watchdog or the starvation detector — so such runs always
 // simulate.
 func (cfg *SimConfig) AnalyticPoint() (analytic.Point, bool) {
-	if cfg.Faults != nil {
-		return analytic.Point{}, false
-	}
-	if r := cfg.Resilience; r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0) {
+	if cfg.perCycleHooks() {
 		return analytic.Point{}, false
 	}
 	kind := cfg.Arbiter.Kind

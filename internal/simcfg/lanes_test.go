@@ -1,18 +1,19 @@
 package simcfg
 
 import (
+	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"lotterybus"
 	"lotterybus/internal/analytic"
 )
 
-// TestBuildReplicaSetMatchesScalarReplicas pins the -lanes contract:
-// for every arbiter kind, replica i of the lane-batched engine reports
-// exactly what the scalar replicate loop reports for the same config at
-// Seed+i. Reports are compared as rendered strings, which also equates
+// TestBuildReplicaSetMatchesScalarReplicas pins the lane engine's
+// contract: for every arbiter kind, replica i of the lane engine reports
+// exactly what the scalar engine reports for the same config at Seed+i. Reports are compared as rendered strings, which also equates
 // the NaN latency fields of starved masters (priority starves the
 // periodic master; NaN != NaN would break struct comparison).
 func TestBuildReplicaSetMatchesScalarReplicas(t *testing.T) {
@@ -45,6 +46,126 @@ func TestBuildReplicaSetMatchesScalarReplicas(t *testing.T) {
 			if viol := rs.CheckInvariants(i); len(viol) != 0 {
 				t.Errorf("%s replica %d: %s", kind, i, strings.Join(viol, "; "))
 			}
+		}
+	}
+}
+
+// TestEngineSelection pins which engine BuildReplicas picks: the lane
+// engine for a plain config, the scalar engine for each config that arms
+// per-cycle machinery or uses seed 0. Whichever engine runs, replica i
+// must fingerprint exactly as Build() at Seed+i — also when only some
+// replicas miss, so the lane batch starts past replica 0 and spans a
+// replica it does not cover.
+func TestEngineSelection(t *testing.T) {
+	for _, tc := range []struct {
+		name, engine string
+		edit         func(*SimConfig)
+	}{
+		{"sample", "lanes", func(*SimConfig) {}},
+		{"faults", "scalar", func(c *SimConfig) { c.Faults = &lotterybus.FaultConfig{SlaveError: 0.01} }},
+		{"splitTimeout", "scalar", func(c *SimConfig) { c.Resilience = &ResilienceConfig{SplitTimeout: 500} }},
+		{"starvationThreshold", "scalar", func(c *SimConfig) { c.Resilience = &ResilienceConfig{StarvationThreshold: 200} }},
+		{"seed 0", "scalar", func(c *SimConfig) { c.Seed = 0 }},
+		{"retry knobs only", "lanes", func(c *SimConfig) { c.Resilience = &ResilienceConfig{RetryLimit: 4, RetryBackoff: 2} }},
+	} {
+		cfg := SampleConfig()
+		cfg.Cycles = 20000
+		tc.edit(cfg)
+		if got := cfg.LaneEngine(); got != (tc.engine == "lanes") {
+			t.Errorf("%s: LaneEngine() = %v, want engine %s", tc.name, got, tc.engine)
+		}
+		reps, err := cfg.BuildReplicas()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, miss := range [][]int{{0, 1, 2}, {1, 3}} {
+			got := map[int]uint64{}
+			var mu sync.Mutex
+			err = reps.Simulate(context.Background(), miss, 2, func(sim *Sim) error {
+				if sim.Engine != tc.engine {
+					t.Errorf("%s: engine %s, want %s", tc.name, sim.Engine, tc.engine)
+				}
+				if err := sim.Run(nil); err != nil {
+					return err
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, i := range sim.Covers {
+					got[i] = sim.Collector(i).Fingerprint()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(got) != len(miss) {
+				t.Errorf("%s: simulated %v, want exactly %v", tc.name, got, miss)
+			}
+			for _, i := range miss {
+				c := *cfg
+				c.Seed = cfg.Seed + uint64(i)
+				sys, err := c.Build()
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if err := sys.Run(c.Cycles); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if want := sys.Collector().Fingerprint(); got[i] != want {
+					t.Errorf("%s replica %d of %v: fingerprint %016x, Build() at Seed+%d %016x", tc.name, i, miss, got[i], i, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSimulateBoundsLaneBatches pins how the lane engine batches misses:
+// consecutive misses share a batch of at most maxLanes replicas, a miss
+// past that starts the next, and every covered replica still matches
+// Build() at Seed+i.
+func TestSimulateBoundsLaneBatches(t *testing.T) {
+	cfg := SampleConfig()
+	cfg.Cycles = 2000
+	reps, err := cfg.BuildReplicas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss := []int{3}
+	for i := 10; i < 10+maxLanes+5; i++ {
+		miss = append(miss, i)
+	}
+	var batches [][]int
+	got := map[int]uint64{}
+	err = reps.Simulate(context.Background(), miss, 1, func(sim *Sim) error {
+		batches = append(batches, sim.Covers)
+		if err := sim.Run(nil); err != nil {
+			return err
+		}
+		for _, i := range sim.Covers {
+			got[i] = sim.Collector(i).Fingerprint()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) != 2 || batches[0][0] != 3 || batches[1][0] != 3+maxLanes ||
+		len(batches[0])+len(batches[1]) != len(miss) {
+		t.Fatalf("batches start at %d and %d with %d+%d replicas, want 3 and %d covering all %d",
+			batches[0][0], batches[len(batches)-1][0], len(batches[0]), len(batches[len(batches)-1]), 3+maxLanes, len(miss))
+	}
+	for _, i := range []int{3, 10, 2 + maxLanes, 3 + maxLanes, miss[len(miss)-1]} {
+		c := *cfg
+		c.Seed = cfg.Seed + uint64(i)
+		sys, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run(c.Cycles); err != nil {
+			t.Fatal(err)
+		}
+		if want := sys.Collector().Fingerprint(); got[i] != want {
+			t.Errorf("replica %d: fingerprint %016x, Build() at Seed+%d %016x", i, got[i], i, want)
 		}
 	}
 }

@@ -471,35 +471,42 @@ func (s *System) reportFrom(col *stats.Collector, live bool) Report {
 	}
 	for i := 0; i < s.b.NumMasters(); i++ {
 		m := s.b.Master(i)
-		d := col.LatencyDist(i)
 		dropped, queued := col.Drops(i), 0
 		if live {
 			dropped, queued = m.Dropped(), m.QueueLen()
 		}
-		r.Masters = append(r.Masters, MasterReport{
-			Name:              m.Name(),
-			Weight:            s.weights[i],
-			BandwidthFraction: col.BandwidthFraction(i),
-			PerWordLatency:    col.PerWordLatency(i),
-			LatencyP50:        d.P50,
-			LatencyP95:        d.P95,
-			LatencyP99:        d.P99,
-			LatencyMax:        d.Max,
-			AvgMessageLatency: col.AvgMessageLatency(i),
-			MaxStartWait:      col.MaxStartWait(i),
-			Messages:          col.Messages(i),
-			Words:             col.Words(i),
-			Dropped:           dropped,
-			Queued:            queued,
-			Retries:           col.Retries(i),
-			Aborts:            col.Aborts(i),
-			SplitTimeouts:     col.SplitTimeouts(i),
-			ErrorWords:        col.ErrorWords(i),
-			StarvedCycles:     col.StarvedCycles(i),
-			MaxWait:           col.MaxPendingWait(i),
-		})
+		r.Masters = append(r.Masters, masterReport(col, i, m.Name(), s.weights[i], dropped, queued))
 	}
 	return r
+}
+
+// masterReport renders master i's row from col; dropped and queued come
+// from the engine (live) or the collector (cached), as the caller
+// chooses.
+func masterReport(col *stats.Collector, i int, name string, weight uint64, dropped int64, queued int) MasterReport {
+	d := col.LatencyDist(i)
+	return MasterReport{
+		Name:              name,
+		Weight:            weight,
+		BandwidthFraction: col.BandwidthFraction(i),
+		PerWordLatency:    col.PerWordLatency(i),
+		LatencyP50:        d.P50,
+		LatencyP95:        d.P95,
+		LatencyP99:        d.P99,
+		LatencyMax:        d.Max,
+		AvgMessageLatency: col.AvgMessageLatency(i),
+		MaxStartWait:      col.MaxStartWait(i),
+		Messages:          col.Messages(i),
+		Words:             col.Words(i),
+		Dropped:           dropped,
+		Queued:            queued,
+		Retries:           col.Retries(i),
+		Aborts:            col.Aborts(i),
+		SplitTimeouts:     col.SplitTimeouts(i),
+		ErrorWords:        col.ErrorWords(i),
+		StarvedCycles:     col.StarvedCycles(i),
+		MaxWait:           col.MaxPendingWait(i),
+	}
 }
 
 // String renders the report as an aligned table. The resilience

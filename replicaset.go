@@ -221,33 +221,11 @@ func (r *ReplicaSet) reportFrom(col *stats.Collector, replica int, live bool) Re
 		Utilization: col.Utilization(),
 	}
 	for i := 0; i < r.eng.NumMasters(); i++ {
-		d := col.LatencyDist(i)
 		dropped, queued := col.Drops(i), 0
 		if live {
 			dropped, queued = r.eng.Dropped(replica, i), r.eng.QueueLen(replica, i)
 		}
-		rep.Masters = append(rep.Masters, MasterReport{
-			Name:              r.eng.MasterName(i),
-			Weight:            r.weights[i],
-			BandwidthFraction: col.BandwidthFraction(i),
-			PerWordLatency:    col.PerWordLatency(i),
-			LatencyP50:        d.P50,
-			LatencyP95:        d.P95,
-			LatencyP99:        d.P99,
-			LatencyMax:        d.Max,
-			AvgMessageLatency: col.AvgMessageLatency(i),
-			MaxStartWait:      col.MaxStartWait(i),
-			Messages:          col.Messages(i),
-			Words:             col.Words(i),
-			Dropped:           dropped,
-			Queued:            queued,
-			Retries:           col.Retries(i),
-			Aborts:            col.Aborts(i),
-			SplitTimeouts:     col.SplitTimeouts(i),
-			ErrorWords:        col.ErrorWords(i),
-			StarvedCycles:     col.StarvedCycles(i),
-			MaxWait:           col.MaxPendingWait(i),
-		})
+		rep.Masters = append(rep.Masters, masterReport(col, i, r.eng.MasterName(i), r.weights[i], dropped, queued))
 	}
 	return rep
 }
