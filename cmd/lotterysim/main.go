@@ -12,11 +12,6 @@
 //	lotterysim -config system.json -cpuprofile cpu.pb.gz
 //	lotterysim -config system.json -replicate 8 -check
 //
-// Replicas run on the lane engine unless the config arms faults, the
-// split watchdog or the starvation detector, or uses seed 0; those, the
-// single traced run of -vcd/-waveform and every -check run use the
-// scalar engine. Both engines print the same bytes.
-//
 // With -check, every finished replica is audited against the simulator's
 // conservation and accounting invariants (internal/check); violations
 // print to stderr, are journaled, and make the process exit 1.
@@ -201,7 +196,7 @@ func realMain() (code int) {
 		}
 	}
 
-	reps, err := buildReplicas(cfg, tracing || *audit)
+	reps, err := cfg.BuildReplicas()
 	if err != nil {
 		return fail(err)
 	}
@@ -241,20 +236,18 @@ func realMain() (code int) {
 	}
 	err = reps.Simulate(runCtx, miss, *parallel, func(sim *simcfg.Sim) error {
 		if tracing {
-			traced = sim.System()
+			traced = sim.System
 			traced.EnableTrace(0)
 		}
 		if err := sim.Run(nil); err != nil {
 			return err
 		}
-		for _, i := range sim.Covers {
-			col := sim.Collector(i)
-			if *audit {
-				viols[i] = sim.System().CheckInvariants()
-			}
-			resultCache.Put(keys[i], col) // nil-safe no-op without a cache
-			resolve(i, col)
+		i, col := sim.Replica, sim.System.Collector()
+		if *audit {
+			viols[i] = sim.System.CheckInvariants()
 		}
+		resultCache.Put(keys[i], col) // nil-safe no-op without a cache
+		resolve(i, col)
 		return nil
 	})
 	if err != nil {
@@ -297,18 +290,6 @@ func realMain() (code int) {
 	}
 	emitRunEnd(j, reports)
 	return finishRun(resultCache, reg, srv, code)
-}
-
-// buildReplicas returns the run's seed-replicas. The config picks the
-// engine (simcfg.LaneEngine) unless scalar is set: -vcd and -waveform
-// need the scalar engine's per-cycle hooks, and -check its full audit
-// (package check), which covers more invariants than the lane engine's
-// own ledgers.
-func buildReplicas(cfg *simcfg.SimConfig, scalar bool) (*simcfg.Replicas, error) {
-	if scalar {
-		return cfg.BuildScalarReplicas()
-	}
-	return cfg.BuildReplicas()
 }
 
 // deadlineExit handles a run error caused by the -deadline budget:

@@ -15,9 +15,7 @@
 //
 // With -no-analytic, sweep points the regime classifier proves in closed
 // form (see the "regimes" section) are simulated anyway and the share
-// error against the closed form is reported. Every experiment runs on
-// the scalar engine; only seed-replicated runs of one configuration
-// (lotterysim, lotteryd) move to the lane engine.
+// error against the closed form is reported.
 //
 // With -cache-dir DIR, the cache-wired sweeps (Figs. 4, 6a, 6b, 12a,
 // 12b, 12b1, 12c) resolve each point through a content-addressed result

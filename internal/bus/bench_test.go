@@ -36,8 +36,16 @@ func saturatedBus(b *testing.B, a bus.Arbiter) *bus.Bus {
 }
 
 // BenchmarkTickStaticLottery measures one bus cycle under the static
-// lottery manager on a saturated four-master system.
-func BenchmarkTickStaticLottery(b *testing.B) {
+// lottery manager on a saturated four-master system, on the fast-forward
+// engine (traffic.Saturating is a bus.Saturator).
+func BenchmarkTickStaticLottery(b *testing.B) { benchStaticLottery(b, false) }
+
+// BenchmarkTickStaticLotteryNaive is BenchmarkTickStaticLottery on the
+// naive per-cycle loop; scripts/benchguard.sh gates the fast engine at
+// >= 2x this.
+func BenchmarkTickStaticLotteryNaive(b *testing.B) { benchStaticLottery(b, true) }
+
+func benchStaticLottery(b *testing.B, disableFF bool) {
 	mgr, err := core.NewStaticLottery(core.StaticConfig{
 		Tickets: []uint64{1, 2, 3, 4},
 		Source:  prng.NewXorShift64Star(1),
@@ -46,6 +54,7 @@ func BenchmarkTickStaticLottery(b *testing.B) {
 		b.Fatal(err)
 	}
 	bb := saturatedBus(b, arb.NewStaticLottery(mgr))
+	bb.DisableFastForward = disableFF
 	// Warm up past the queue-fill transient so steady-state allocations
 	// are what the benchmark sees.
 	if err := bb.Run(4096); err != nil {

@@ -424,8 +424,13 @@ type Bus struct {
 	// fast-forward engine (dead-gap skips plus batched burst cycles).
 	ffCycles int64
 
-	// scheds caches the per-master Scheduler views for the fast path.
-	scheds []Scheduler
+	// The fast path's arrival cache (see primeArrivals): each master's
+	// Scheduler view and Saturator depth (zero for any other generator),
+	// the next cycle its Tick may emit, and the minimum over masters.
+	scheds  []Scheduler
+	depths  []int
+	nextArr []int64
+	arrMin  int64
 
 	reqView requestView
 }
@@ -515,8 +520,8 @@ func (b *Bus) Preemptions() int64 { return b.preemptions }
 // engine advanced in bulk instead of executing one by one: dead-gap
 // skips (idle bus, empty request map) plus the cycles of batched burst
 // transfers beyond each batch's first. Zero after a run means the naive
-// loop ran throughout (hooks, an active preemptor, or a generator
-// without a Scheduler force it; see fastforward.go).
+// loop ran throughout (hooks, an active preemptor, or a generator that
+// is neither a Scheduler nor a Saturator force it; see fastforward.go).
 func (b *Bus) FastForwarded() int64 { return b.ffCycles }
 
 // Inject enqueues a message on master m programmatically, bypassing its

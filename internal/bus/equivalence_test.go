@@ -15,6 +15,7 @@ package bus_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lotterybus/internal/arb"
@@ -48,6 +49,12 @@ func eqCompare(t *testing.T, naive, fast *bus.Bus) {
 	if err := fast.Run(eqCycles); err != nil {
 		t.Fatal(err)
 	}
+	eqSame(t, naive, fast)
+}
+
+// eqSame fails on any observable divergence between two finished runs.
+func eqSame(t *testing.T, naive, fast *bus.Bus) {
+	t.Helper()
 	if naive.FastForwarded() > 0 {
 		t.Fatalf("naive bus fast-forwarded %d cycles", naive.FastForwarded())
 	}
@@ -104,6 +111,72 @@ func TestFastForwardEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// saturatingBus builds a grid cell whose four masters are all
+// traffic.Saturating, two of them aimed at the io slave (a split slave in
+// the split and tinyqueue configs). With overCap, master 3 keeps a
+// backlog of 6 in a 3-message queue, so its top-up drops every cycle and
+// it is due on every cycle.
+func saturatingBus(t *testing.T, bc check.BusConfig, am check.ArbMaker, overCap, disable bool) *bus.Bus {
+	t.Helper()
+	b := bus.New(bc.Cfg)
+	b.DisableFastForward = disable
+	for i := 0; i < eqMasters; i++ {
+		gen := &traffic.Saturating{Words: 8 + i, Slave: i % 2, Backlog: i % 3}
+		var opts bus.MasterOpts
+		if overCap && i == 3 {
+			gen.Backlog, opts.QueueCap = 6, 3
+		}
+		opts.Tickets = uint64(i + 1)
+		b.AddMaster(fmt.Sprintf("m%d", i), gen, opts)
+	}
+	b.AddSlave("mem", bus.SlaveOpts{WaitStates: bc.WaitStates})
+	b.AddSlave("io", bus.SlaveOpts{SplitLatency: bc.SplitLatency})
+	a, err := am.Make()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetArbiter(a)
+	return b
+}
+
+// TestFastForwardSaturating proves the fast path bit-identical to the
+// naive loop on saturated buses across every grid configuration and
+// arbiter, and that it actually fast-forwards them. The fast bus runs in
+// uneven chunks with one naive chunk in the middle, so the arrival cache
+// must be re-primed after the naive loop has Ticked.
+func TestFastForwardSaturating(t *testing.T) {
+	chunks := []int64{1, 7, 4992, 3000, eqCycles - 1 - 7 - 4992 - 3000}
+	for _, bc := range check.BusConfigs() {
+		for _, am := range check.Arbiters() {
+			t.Run(bc.Name+"/"+am.Name, func(t *testing.T) {
+				for _, overCap := range []bool{false, true} {
+					naive := saturatingBus(t, bc, am, overCap, true)
+					if err := naive.Run(eqCycles); err != nil {
+						t.Fatal(err)
+					}
+					fast := saturatingBus(t, bc, am, overCap, false)
+					for k, n := range chunks {
+						fast.DisableFastForward = k == 3
+						if err := fast.Run(n); err != nil {
+							t.Fatal(err)
+						}
+					}
+					eqSame(t, naive, fast)
+					if overCap && fast.Master(3).Dropped() == 0 {
+						t.Error("over-cap master dropped nothing")
+					}
+					// TDMA grants one word at a time, so without wait
+					// states there is no burst interior to batch.
+					oneWordGrants := strings.HasPrefix(am.Name, "tdma") && bc.WaitStates == 0
+					if !overCap && !oneWordGrants && fast.FastForwarded() == 0 {
+						t.Error("fast path skipped no cycles on a saturated bus")
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Fast-forward engine: event-driven execution of the cycle-accurate bus
-// model. The naive loop in bus.go executes every simulated cycle even
-// when nothing decision-relevant can happen — idle gaps waiting for the
-// next traffic arrival, split-transaction latency, slave wait states,
-// and the interior of uninterrupted bursts. This file leaps over those
+// model, and the repository's only event-driven kernel. The naive loop
+// in bus.go executes every simulated cycle even when nothing
+// decision-relevant can happen — idle gaps waiting for the next traffic
+// arrival, split-transaction latency, slave wait states, and the
+// interior of uninterrupted bursts. This file leaps over those
 // provably-inert stretches in O(1) per event while reproducing the naive
 // loop's observable state bit for bit:
 //
@@ -11,7 +12,12 @@
 //     PRNG streams and internal state (round-robin pointers, TDMA wheel
 //     reclamation, WRR deficits) advance identically;
 //   - every traffic arrival is enqueued at its exact cycle, so queue
-//     occupancy, drops and message arrival timestamps are identical;
+//     occupancy, drops and message arrival timestamps are identical.
+//     Each master's next arrival is cached, and Tick runs only on the
+//     masters that are due: off its arrival cycles a Scheduler's Tick is
+//     a documented no-op, and a Saturator emits only while its queue is
+//     below its depth, which can only happen after one of its own pops —
+//     so even a saturated bus is event-predictable;
 //   - batched word transfers update the stats.Collector with the same
 //     totals, and message start/completion events fire at the same cycles
 //     with the same arguments, so latency sums and histograms are
@@ -19,9 +25,10 @@
 //     accumulators).
 //
 // Eligibility (checked per Run call by fastForwardable): no OnCycle /
-// OnOwner / OnMessageComplete hook, no active Preemptor, and every
-// attached generator implements Scheduler. Anything else falls back to
-// the naive loop — correctness never depends on the fast path.
+// OnOwner / OnMessageComplete hook, no active Preemptor, no armed fault
+// model, watchdog or starvation detector, and every attached generator
+// implements Scheduler or Saturator. Anything else falls back to the
+// naive loop — correctness never depends on the fast path.
 package bus
 
 import (
@@ -39,6 +46,17 @@ import (
 type Scheduler interface {
 	NextArrival(cycle int64) int64
 	SkipTo(cycle int64)
+}
+
+// Saturator is the optional generator extension of traffic.Saturating:
+// a generator that keeps its master's queue topped up to Depth()
+// messages. Its Tick must emit exactly Depth()-queued messages when
+// queued < Depth() and nothing otherwise, drawing no randomness. The
+// queue only falls below the depth after one of its own pops (or while
+// a queue cap smaller than the depth drops the top-up), so the bus knows
+// every cycle on which such a generator can emit.
+type Saturator interface {
+	Depth() int
 }
 
 // never is the no-arrival sentinel (matches traffic.Never).
@@ -66,43 +84,71 @@ func (b *Bus) fastForwardable() bool {
 		return false
 	}
 	for _, m := range b.masters {
-		if m.gen == nil {
-			continue
-		}
-		if _, ok := m.gen.(Scheduler); !ok {
+		switch m.gen.(type) {
+		case nil, Scheduler, Saturator:
+		default:
 			return false
 		}
 	}
 	return true
 }
 
-// schedulers returns the cached per-master Scheduler views (nil entries
-// for generator-less masters, which never produce arrivals).
-func (b *Bus) schedulers() []Scheduler {
-	if len(b.scheds) != len(b.masters) {
+// primeArrivals fills the arrival cache at the start of a fast Run. The
+// naive loop may have Ticked (or Inject filled a queue) since the last
+// fast Run, so nothing cached then is trusted now.
+func (b *Bus) primeArrivals() {
+	if len(b.nextArr) != len(b.masters) {
 		b.scheds = make([]Scheduler, len(b.masters))
-		for i, m := range b.masters {
-			if m.gen != nil {
-				b.scheds[i], _ = m.gen.(Scheduler)
-			}
-		}
+		b.depths = make([]int, len(b.masters))
+		b.nextArr = make([]int64, len(b.masters))
 	}
-	return b.scheds
+	b.arrMin = never
+	for i, m := range b.masters {
+		b.scheds[i], b.depths[i] = nil, 0
+		switch g := m.gen.(type) {
+		case Scheduler:
+			b.scheds[i] = g
+		case Saturator:
+			b.depths[i] = g.Depth()
+		}
+		b.nextArr[i] = b.arrivalFrom(i, b.cycle)
+		b.arrMin = min(b.arrMin, b.nextArr[i])
+	}
 }
 
-// nextArrival returns the earliest cycle >= b.cycle at which any
-// generator may emit a message.
-func (b *Bus) nextArrival(scheds []Scheduler) int64 {
-	next := never
-	for _, s := range scheds {
-		if s == nil {
-			continue
-		}
-		if na := s.NextArrival(b.cycle); na < next {
-			next = na
-		}
+// arrivalFrom returns the earliest cycle >= cycle at which master i's
+// Tick may emit, given its current queue.
+func (b *Bus) arrivalFrom(i int, cycle int64) int64 {
+	if s := b.scheds[i]; s != nil {
+		return s.NextArrival(cycle)
 	}
-	return next
+	if d := b.depths[i]; d > 0 && b.masters[i].queue.len() < d {
+		return cycle
+	}
+	return never
+}
+
+// scanArrivals is the naive loop's phase 1 restricted to the masters
+// due at cycle, in master order; it refreshes their cached arrivals.
+func (b *Bus) scanArrivals(cycle int64) {
+	next := never
+	for i, m := range b.masters {
+		if b.nextArr[i] <= cycle {
+			m.gen.Tick(cycle, m.queue.len(), m.emit)
+			b.nextArr[i] = b.arrivalFrom(i, cycle+1)
+		}
+		next = min(next, b.nextArr[i])
+	}
+	b.arrMin = next
+}
+
+// refill marks master i's Saturator due at the current cycle when a pop
+// has left its queue below depth.
+func (b *Bus) refill(i int) {
+	if d := b.depths[i]; d > 0 && b.masters[i].queue.len() < d {
+		b.nextArr[i] = b.cycle
+		b.arrMin = min(b.arrMin, b.cycle)
+	}
 }
 
 // nextSplitReady returns the earliest cycle at which an outstanding
@@ -123,21 +169,15 @@ func (b *Bus) nextSplitReady() int64 {
 // pre-emption branches (both excluded by fastForwardable); after each
 // executed cycle it leaps to the next event.
 func (b *Bus) runFast(n int64, col *stats.Collector) error {
-	scheds := b.schedulers()
+	b.primeArrivals()
 	wide := len(b.masters) > 64
 	end := b.cycle + n
 	for b.cycle < end {
 		cycle := b.cycle
 
-		// Phase 1: traffic arrival. Tick is a no-op (and draws no PRNG)
-		// for an event-driven generator off its arrival cycle, so
-		// ticking every master keeps streams identical to the naive
-		// loop, which also calls Tick every executed cycle.
-		for _, m := range b.masters {
-			if m.gen == nil {
-				continue
-			}
-			m.gen.Tick(cycle, m.queue.len(), m.emit)
+		// Phase 1: traffic arrival, for the masters that are due.
+		if b.arrMin <= cycle {
+			b.scanArrivals(cycle)
 		}
 
 		// Phase 2: arbitration when idle.
@@ -164,34 +204,42 @@ func (b *Bus) runFast(n int64, col *stats.Collector) error {
 			}
 		}
 
-		// Phase 3: word transfer.
+		// Phase 3: word transfer. A pop ends the burst, so only a burst
+		// that ended can have let its master's Saturator emit again.
+		owner := -1
 		if b.cur != nil {
 			if b.cur.waitLeft > 0 {
 				b.cur.waitLeft--
 			} else {
-				b.transferWord(col)
+				owner = b.transferWord(col)
 			}
 		}
 		col.AdvanceCycles(1)
 		b.cycle++
+		if owner >= 0 && b.cur == nil {
+			b.refill(owner)
+		}
 
 		// Fast-forward to the next event.
 		if b.cur != nil {
 			// Mid-burst: only a traffic arrival needs an executed cycle
 			// before the burst's own bookkeeping; batch up to it.
-			if limit := min(end, b.nextArrival(scheds)); limit > b.cycle {
-				from := b.cycle
+			if limit := min(end, b.arrMin); limit > b.cycle {
+				from, owner := b.cycle, b.cur.master
 				b.batchBurst(limit, col)
 				b.ffCycles += b.cycle - from
+				if b.cur == nil {
+					b.refill(owner)
+				}
 			}
 		} else if !wide && b.requestMask64() == 0 || wide && b.requestMaskWide().None() {
 			// Dead gap: bus idle, no requests. Nothing can happen until
 			// the next arrival or a split response becomes ready.
-			target := min(end, min(b.nextArrival(scheds), b.nextSplitReady()))
+			target := min(end, min(b.arrMin, b.nextSplitReady()))
 			if target > b.cycle {
 				col.AdvanceCycles(target - b.cycle)
 				b.ffCycles += target - b.cycle
-				for _, s := range scheds {
+				for _, s := range b.scheds {
 					if s != nil {
 						s.SkipTo(target)
 					}

@@ -27,9 +27,11 @@
 package cache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -273,7 +275,9 @@ func (c *Cache) Put(key Key, col *stats.Collector) {
 // share one computation (singleflight): the leader simulates and
 // publishes, waiters block and then read the published entry. Errors
 // are returned to the leader and every waiter of that flight but are
-// not cached — a later call retries. Exactly one counter event (hit or
+// not cached — a later call retries. A leader's cancellation or
+// deadline error belongs to the leader alone: its waiters retry, and one
+// of them leads the next computation. Exactly one counter event (hit or
 // miss) is recorded per call.
 func (c *Cache) GetOrCompute(key Key, compute func() (*stats.Collector, error)) (*stats.Collector, Source, error) {
 	return c.flight(key, compute, true)
@@ -305,10 +309,10 @@ func (c *Cache) flight(key Key, compute func() (*stats.Collector, error), count 
 		if cl, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
 			<-cl.done
-			if cl.err != nil {
+			if cl.err != nil && !canceled(cl.err) {
 				return nil, SourceComputed, cl.err
 			}
-			continue // leader published; next lookup hits memory
+			continue // leader published, or was cancelled: look again or lead
 		}
 		cl := &call{done: make(chan struct{})}
 		c.inflight[key] = cl
@@ -331,4 +335,10 @@ func (c *Cache) flight(key Key, compute func() (*stats.Collector, error), count 
 		}
 		return col, SourceComputed, nil
 	}
+}
+
+// canceled reports whether err ends a computation because its caller's
+// context did, not because of the key.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -1,12 +1,16 @@
 package cache
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lotterybus/internal/stats"
 )
@@ -320,5 +324,49 @@ func TestComputeErrorsNotCached(t *testing.T) {
 	})
 	if err != nil || src != SourceComputed || col == nil {
 		t.Fatalf("retry after error: src=%v err=%v", src, err)
+	}
+}
+
+// TestWaiterOutlivesCanceledLeader proves a leader's cancellation stays
+// the leader's: a caller waiting on that flight is not handed the
+// leader's context error but computes the entry itself.
+func TestWaiterOutlivesCanceledLeader(t *testing.T) {
+	for _, leaderErr := range []error{context.Canceled, fmt.Errorf("run: %w", context.DeadlineExceeded)} {
+		c := New("")
+		key := testKey(6)
+		entered, release := make(chan struct{}), make(chan struct{})
+		leaderDone := make(chan error)
+		go func() {
+			_, _, err := c.Share(key, func() (*stats.Collector, error) {
+				close(entered)
+				<-release
+				return nil, leaderErr
+			})
+			leaderDone <- err
+		}()
+		<-entered
+		waiterDone := make(chan error)
+		var computes atomic.Int64
+		go func() {
+			col, src, err := c.Share(key, func() (*stats.Collector, error) {
+				computes.Add(1)
+				return testCollector(6), nil
+			})
+			if err == nil && (src != SourceComputed || col.Fingerprint() != testCollector(6).Fingerprint()) {
+				err = fmt.Errorf("waiter got src=%v and a foreign collector", src)
+			}
+			waiterDone <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let the waiter block on the flight
+		close(release)
+		if err := <-leaderDone; !errors.Is(err, leaderErr) {
+			t.Fatalf("leader err = %v, want %v", err, leaderErr)
+		}
+		if err := <-waiterDone; err != nil {
+			t.Fatalf("leader failed with %v; waiter err = %v, want its own computed entry", leaderErr, err)
+		}
+		if computes.Load() != 1 {
+			t.Fatalf("waiter computed %d times, want 1", computes.Load())
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"lotterybus/internal/bus"
 	"lotterybus/internal/check"
 	"lotterybus/internal/core"
-	"lotterybus/internal/lanes"
 	"lotterybus/internal/prng"
 	"lotterybus/internal/topology"
 	"lotterybus/internal/traffic"
@@ -17,10 +16,10 @@ import (
 // The 64-master boundary is where the request mask crosses from the
 // single-word fast path into the wide bitset: 63 and 64 masters must
 // stay on the Mask64 path, 65 and beyond take the [K]uint64 path. This
-// grid proves all three engines — the scalar per-cycle loop, the
-// fast-forward engine and the lane-batched engine — remain bit-identical
-// on both sides of that boundary, so the fast path is an optimization
-// and not a behavioural fork.
+// grid proves both engines — the naive per-cycle loop and the
+// fast-forward engine — remain bit-identical on both sides of that
+// boundary, under light and saturating traffic, so the fast path is an
+// optimization and not a behavioural fork.
 
 const (
 	boundaryCycles = 8000
@@ -67,18 +66,22 @@ func wideArbiters() []wideArbMaker {
 
 // boundaryGen builds master i's generator for an n-master boundary
 // cell: light Bernoulli load so the fast-forward engine has dead gaps
-// to skip.
-func boundaryGen(n, i int) (bus.Generator, error) {
+// to skip, or with saturated set, every fourth master saturating (two
+// of them per mask word once the bus is wide) over the light load.
+func boundaryGen(n, i int, saturated bool) (bus.Generator, error) {
+	if saturated && i%4 == 3 {
+		return &traffic.Saturating{Words: 8 + i%5, Slave: i % 2}, nil
+	}
 	return traffic.NewBernoulli(0.008, traffic.Fixed(8), i%2,
 		prng.Derive(boundarySeed, fmt.Sprintf("wide%d/m%d", n, i)))
 }
 
-// buildWideScalar builds the n-master scalar (or fast-forward) bus.
-func buildWideScalar(n int, am wideArbMaker, disableFastForward bool) (*bus.Bus, error) {
+// buildWideBus builds the n-master naive (or fast-forward) bus.
+func buildWideBus(n int, am wideArbMaker, saturated, disableFastForward bool) (*bus.Bus, error) {
 	b := bus.New(bus.Config{MaxBurst: 16})
 	b.DisableFastForward = disableFastForward
 	for i := 0; i < n; i++ {
-		gen, err := boundaryGen(n, i)
+		gen, err := boundaryGen(n, i, saturated)
 		if err != nil {
 			return nil, err
 		}
@@ -94,66 +97,51 @@ func buildWideScalar(n int, am wideArbMaker, disableFastForward bool) (*bus.Bus,
 	return b, nil
 }
 
-// buildWideLanes builds the single-lane lane-engine twin.
-func buildWideLanes(n int, am wideArbMaker) *lanes.Engine {
-	e := lanes.New(bus.Config{MaxBurst: 16}, 1)
-	for i := 0; i < n; i++ {
-		i := i
-		e.AddMaster(fmt.Sprintf("m%d", i), bus.MasterOpts{Tickets: uint64(i%4) + 1},
-			func(lane int) (bus.Generator, error) { return boundaryGen(n, i) })
-	}
-	e.AddSlave("mem", bus.SlaveOpts{})
-	e.AddSlave("io", bus.SlaveOpts{})
-	e.SetArbiter(func(lane int) (bus.Arbiter, error) { return am.make(n) })
-	return e
-}
-
-// TestWideBoundaryGrid runs 63-, 64-, 65- and 96-master systems through
-// all three engines and requires identical collector fingerprints and a
-// clean invariant audit on each side of the mask-word boundary.
+// TestWideBoundaryGrid runs 63-, 64-, 65- and 96-master systems on the
+// naive loop and the fast-forward engine, under light and saturating
+// traffic, and requires identical collector fingerprints, a clean
+// invariant audit, and cycles actually skipped on each side of the
+// mask-word boundary.
 func TestWideBoundaryGrid(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 96} {
 		for _, am := range wideArbiters() {
 			n, am := n, am
 			t.Run(fmt.Sprintf("n%d/%s", n, am.name), func(t *testing.T) {
 				t.Parallel()
-				scalar, err := buildWideScalar(n, am, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := scalar.Run(boundaryCycles); err != nil {
-					t.Fatal(err)
-				}
-				ff, err := buildWideScalar(n, am, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ff.Run(boundaryCycles); err != nil {
-					t.Fatal(err)
-				}
-				eng := buildWideLanes(n, am)
-				if err := eng.Run(boundaryCycles); err != nil {
-					t.Fatal(err)
-				}
-				want := scalar.Collector().Fingerprint()
-				if got := ff.Collector().Fingerprint(); got != want {
-					t.Errorf("fast-forward fingerprint %#x, scalar %#x", got, want)
-				}
-				if got := eng.Collector(0).Fingerprint(); got != want {
-					t.Errorf("lanes fingerprint %#x, scalar %#x", got, want)
-				}
-				if v := check.Audit(scalar); len(v) != 0 {
-					t.Errorf("scalar audit: %v", v)
-				}
-				if v := check.Audit(ff); len(v) != 0 {
-					t.Errorf("fast-forward audit: %v", v)
-				}
-				var moved int64
-				for m := 0; m < scalar.Collector().N(); m++ {
-					moved += scalar.Collector().Words(m)
-				}
-				if moved == 0 {
-					t.Error("boundary cell moved no words; grid is vacuous")
+				for _, saturated := range []bool{false, true} {
+					naive, err := buildWideBus(n, am, saturated, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := naive.Run(boundaryCycles); err != nil {
+						t.Fatal(err)
+					}
+					ff, err := buildWideBus(n, am, saturated, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ff.Run(boundaryCycles); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := ff.Collector().Fingerprint(), naive.Collector().Fingerprint(); got != want {
+						t.Errorf("saturated=%v: fast-forward fingerprint %#x, naive %#x", saturated, got, want)
+					}
+					if v := check.Audit(naive); len(v) != 0 {
+						t.Errorf("saturated=%v: naive audit: %v", saturated, v)
+					}
+					if v := check.Audit(ff); len(v) != 0 {
+						t.Errorf("saturated=%v: fast-forward audit: %v", saturated, v)
+					}
+					if ff.FastForwarded() == 0 {
+						t.Errorf("saturated=%v: fast-forward engine skipped no cycles", saturated)
+					}
+					var moved int64
+					for m := 0; m < naive.Collector().N(); m++ {
+						moved += naive.Collector().Words(m)
+					}
+					if moved == 0 {
+						t.Errorf("saturated=%v: boundary cell moved no words; grid is vacuous", saturated)
+					}
 				}
 			})
 		}

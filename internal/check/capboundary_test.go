@@ -6,18 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"lotterybus"
 	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/core"
 	"lotterybus/internal/hw"
-	"lotterybus/internal/lanes"
 	"lotterybus/internal/prng"
 	"lotterybus/internal/simcfg"
 	"lotterybus/internal/traffic"
 )
 
-// Every layer that counts masters — the lottery core, the scalar bus,
-// the lane engine, the structural hardware model and the config facade —
+// Every layer that counts masters — the lottery core, the bus on both
+// engines, the replica set, the structural hardware model and the
+// config facade —
 // must enforce the same ceiling, core.MaxMasters, and say so in its
 // error. Before the cap was lifted to one exported constant, these
 // layers each carried their own hard-coded 64 and could disagree; this
@@ -43,9 +44,11 @@ func capConfigJSON(n int) []byte {
 	return []byte(sb.String())
 }
 
-// capBusAt builds and runs a one-cycle n-master scalar bus.
-func capBusAt(n int) error {
+// capBusAt builds and runs a one-cycle n-master saturated bus on the
+// naive loop or the fast-forward engine.
+func capBusAt(n int, disableFastForward bool) error {
 	b := bus.New(bus.Config{MaxBurst: 16})
+	b.DisableFastForward = disableFastForward
 	for i := 0; i < n; i++ {
 		b.AddMaster(fmt.Sprintf("m%d", i), &traffic.Saturating{Words: 1}, bus.MasterOpts{Tickets: 1})
 	}
@@ -58,17 +61,20 @@ func capBusAt(n int) error {
 	return b.Run(1)
 }
 
-// capLanesAt builds and runs a one-cycle n-master lane engine.
+// capLanesAt builds and runs a one-cycle n-master replica set of two
+// lanes (lotterybus.ReplicaSet, one System per lane).
 func capLanesAt(n int) error {
-	e := lanes.New(bus.Config{MaxBurst: 16}, 1)
+	rs := lotterybus.NewReplicaSet(lotterybus.Config{Seed: 1, MaxBurst: 16}, 2)
+	rs.AddSlave("mem", 0)
 	for i := 0; i < n; i++ {
-		i := i
-		e.AddMaster(fmt.Sprintf("m%d", i), bus.MasterOpts{Tickets: 1},
-			func(lane int) (bus.Generator, error) { return &traffic.Saturating{Words: 1}, nil })
+		rs.AddMaster(fmt.Sprintf("m%d", i), 1, func(int) (lotterybus.Generator, error) {
+			return lotterybus.SaturatingTraffic(1, 0), nil
+		})
 	}
-	e.AddSlave("mem", bus.SlaveOpts{})
-	e.SetArbiter(func(lane int) (bus.Arbiter, error) { return arb.NewRoundRobin(n) })
-	return e.Run(1)
+	if err := rs.UseRoundRobin(); err != nil {
+		return err
+	}
+	return rs.Run(1)
 }
 
 // TestMaxMastersCapConsistent asserts every layer accepts exactly
@@ -98,7 +104,8 @@ func TestMaxMastersCapConsistent(t *testing.T) {
 			_, err := hw.NewDynamicManager(n, 16, capWords{prng.NewXorShift64Star(3)})
 			return err
 		}},
-		{"bus/scalar", capBusAt},
+		{"bus/scalar", func(n int) error { return capBusAt(n, true) }},
+		{"bus/fast-forward", func(n int) error { return capBusAt(n, false) }},
 		{"lanes/engine", capLanesAt},
 		{"simcfg/parse", func(n int) error {
 			_, err := simcfg.ParseConfig(bytes.NewReader(capConfigJSON(n)))

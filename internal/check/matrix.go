@@ -175,18 +175,10 @@ func BusConfigs() []BusConfig {
 // driven by gm's generators (seeds 100..103), a wait-state memory slave
 // and a (possibly split) io slave, and am's arbiter attached.
 func Build(bc BusConfig, am ArbMaker, gm GenMaker, disableFastForward bool) (*bus.Bus, error) {
-	return BuildSeeded(bc, am, gm, disableFastForward, 0)
-}
-
-// BuildSeeded is Build with every master's generator seed shifted by
-// seedOffset (master i gets 100+i+seedOffset). The lane-engine
-// equivalence suite uses it to construct the scalar reference for each
-// replica lane of a grid cell.
-func BuildSeeded(bc BusConfig, am ArbMaker, gm GenMaker, disableFastForward bool, seedOffset uint64) (*bus.Bus, error) {
 	b := bus.New(bc.Cfg)
 	b.DisableFastForward = disableFastForward
 	for i := 0; i < MatrixMasters; i++ {
-		gen, err := gm.Make(i, uint64(100+i)+seedOffset)
+		gen, err := gm.Make(i, uint64(100+i))
 		if err != nil {
 			return nil, fmt.Errorf("check: %s/%s master %d: %w", bc.Name, gm.Name, i, err)
 		}

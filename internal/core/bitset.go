@@ -7,7 +7,7 @@ import "math/bits"
 // Bitset request maps; systems of up to 64 masters collapse to the
 // single-word Mask64 fast path, so raising this constant does not
 // change the ≤64-master hot loop. Every layer that caps its master
-// count (bus, lanes, hw, simcfg) derives its limit from this constant.
+// count (bus, hw, simcfg) derives its limit from this constant.
 const MaxMasters = 256
 
 // BitsetWords is the number of 64-bit words backing a Bitset.

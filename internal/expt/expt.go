@@ -6,14 +6,14 @@
 // repository's bench_test.go both drive these entry points.
 //
 // All sweeps here run on the bus fast-forward engine automatically: the
-// generators are traffic.Scheduler implementations and no per-cycle
-// hook is attached (the two exceptions — the Fig. 5 alignment study and
-// the adaptation experiment — observe every cycle via OnOwner/OnCycle
-// and therefore run the naive loop). The engine is bit-identical to the
-// naive loop, so the reproduced numbers are unchanged; the paper's
-// sparse traffic classes (T3, T6, T9, the low-load latency surface
-// corners) are where it pays, skipping the dead cycles between
-// arrivals.
+// generators are traffic.Scheduler implementations or traffic.Saturating
+// and no per-cycle hook is attached (the exceptions — the Fig. 5
+// alignment study, the adaptation experiment and the fault sweeps —
+// observe or perturb every cycle and therefore run the naive loop). The
+// engine is bit-identical to the naive loop, so the reproduced numbers
+// are unchanged; it pays on the paper's sparse traffic classes (T3, T6,
+// T9, the low-load latency surface corners), skipping the dead cycles
+// between arrivals, and on saturated buses, batching burst interiors.
 package expt
 
 import (

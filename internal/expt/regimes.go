@@ -113,8 +113,7 @@ func regimeGen(o Options, regime string, i int, tag string) (bus.Generator, erro
 }
 
 // regimeArbiter builds one arbiter kind over the sweep weights, streams
-// derived from the tag (shared by the scalar and lane paths, which is
-// what keeps them bit-identical).
+// derived from the tag.
 func regimeArbiter(o Options, kind string, weights []uint64, tag string) (bus.Arbiter, error) {
 	switch kind {
 	case analytic.KindLottery:

@@ -1,3 +1,13 @@
+// Package lanes_test is the replica-lane equivalence suite. It holds no
+// code of its own: seed-replicas ("lanes") are independent bus.Bus
+// instances that lotterybus.ReplicaSet and simcfg.Replicas run across
+// workers on bus.Run's fast-forward kernel. The suite's claim
+// is bit-identity: lane l, run on the kernel, produces exactly the
+// collector fingerprint, queues, drops and slave words of the naive
+// per-cycle loop built from the same configuration with lane l's
+// generator seeds. It is proved over the 6-config x 9-arbiter x
+// 6-traffic verification grid plus a saturating class, under chunked
+// Runs and any worker count.
 package lanes_test
 
 import (
@@ -5,19 +15,12 @@ import (
 	"strings"
 	"testing"
 
+	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/check"
-	"lotterybus/internal/lanes"
+	"lotterybus/internal/runner"
 	"lotterybus/internal/traffic"
 )
-
-// The lane engine's correctness claim is bit-identity: lane l of an
-// Engine must produce exactly the collector fingerprint of a scalar
-// bus.Bus built from the same configuration with lane l's generator
-// seeds and arbiter instance. This suite proves it over the same
-// 6-config x 9-arbiter x 6-traffic grid the fast-forward equivalence
-// suite uses, plus a saturating class (absent from the grid) that
-// exercises the engine's inlined Saturating fast path.
 
 const (
 	eqLanes  = 3
@@ -27,75 +30,103 @@ const (
 	laneSeedStride = 1000
 )
 
-// buildLaneCell assembles the lane-engine twin of check.BuildSeeded:
-// same masters, tickets, slaves and arbiter, with lane l's generators
-// seeded at offset laneSeedStride*l.
-func buildLaneCell(bc check.BusConfig, am check.ArbMaker, gm check.GenMaker) *lanes.Engine {
-	e := lanes.New(bc.Cfg, eqLanes)
+// buildLane assembles lane `lane` of a grid cell: check.Build's masters,
+// tickets, slaves and arbiter, with the generators seeded at offset
+// laneSeedStride*lane.
+func buildLane(t *testing.T, bc check.BusConfig, am check.ArbMaker, gm check.GenMaker, lane int, naive bool) *bus.Bus {
+	t.Helper()
+	b := bus.New(bc.Cfg)
+	b.DisableFastForward = naive
 	for i := 0; i < check.MatrixMasters; i++ {
-		i := i
-		e.AddMaster(fmt.Sprintf("m%d", i), bus.MasterOpts{Tickets: uint64(i + 1)},
-			func(lane int) (bus.Generator, error) {
-				return gm.Make(i, uint64(100+i)+laneSeedStride*uint64(lane))
-			})
+		gen, err := gm.Make(i, uint64(100+i)+laneSeedStride*uint64(lane))
+		if err != nil {
+			t.Fatalf("lane %d master %d: %v", lane, i, err)
+		}
+		b.AddMaster(fmt.Sprintf("m%d", i), gen, bus.MasterOpts{Tickets: uint64(i + 1)})
 	}
-	e.AddSlave("mem", bus.SlaveOpts{WaitStates: bc.WaitStates})
-	e.AddSlave("io", bus.SlaveOpts{SplitLatency: bc.SplitLatency})
-	e.SetArbiter(func(lane int) (bus.Arbiter, error) { return am.Make() })
-	return e
+	b.AddSlave("mem", bus.SlaveOpts{WaitStates: bc.WaitStates})
+	b.AddSlave("io", bus.SlaveOpts{SplitLatency: bc.SplitLatency})
+	a, err := am.Make()
+	if err != nil {
+		t.Fatalf("lane %d arbiter: %v", lane, err)
+	}
+	b.SetArbiter(a)
+	return b
 }
 
-// compareLane asserts lane is bit-identical to its scalar reference.
-func compareLane(t *testing.T, eng *lanes.Engine, ref *bus.Bus, lane int) {
+// buildLanes returns n fast-forward lanes of a grid cell.
+func buildLanes(t *testing.T, bc check.BusConfig, am check.ArbMaker, gm check.GenMaker, n int) []*bus.Bus {
 	t.Helper()
-	if got, want := eng.Cycle(), ref.Cycle(); got != want {
-		t.Errorf("lane %d: cycle %d, scalar %d", lane, got, want)
+	ls := make([]*bus.Bus, n)
+	for l := range ls {
+		ls[l] = buildLane(t, bc, am, gm, l, false)
 	}
-	lc, rc := eng.Collector(lane), ref.Collector()
+	return ls
+}
+
+// runLanes advances every lane n cycles on up to workers goroutines.
+func runLanes(ls []*bus.Bus, n int64, workers int) error {
+	_, err := runner.Map(workers, len(ls), func(l int) (struct{}, error) {
+		return struct{}{}, ls[l].Run(n)
+	})
+	return err
+}
+
+// compareLane asserts lane is bit-identical to its naive reference and
+// passes the full invariant audit.
+func compareLane(t *testing.T, got, ref *bus.Bus, lane int) {
+	t.Helper()
+	if g, w := got.Cycle(), ref.Cycle(); g != w {
+		t.Errorf("lane %d: cycle %d, naive %d", lane, g, w)
+	}
+	lc, rc := got.Collector(), ref.Collector()
 	if lc.Fingerprint() != rc.Fingerprint() {
-		t.Errorf("lane %d: fingerprint %#x, scalar %#x", lane, lc.Fingerprint(), rc.Fingerprint())
+		t.Errorf("lane %d: fingerprint %#x, naive %#x", lane, lc.Fingerprint(), rc.Fingerprint())
 		for m := 0; m < check.MatrixMasters; m++ {
-			t.Logf("lane %d  lanes: %s", lane, lc.Summary(m))
-			t.Logf("lane %d scalar: %s", lane, rc.Summary(m))
+			t.Logf("lane %d  fast: %s", lane, lc.Summary(m))
+			t.Logf("lane %d naive: %s", lane, rc.Summary(m))
 		}
 	}
 	for m := 0; m < check.MatrixMasters; m++ {
-		if got, want := eng.Dropped(lane, m), ref.Master(m).Dropped(); got != want {
-			t.Errorf("lane %d master %d: dropped %d, scalar %d", lane, m, got, want)
+		gm, rm := got.Master(m), ref.Master(m)
+		if g, w := gm.Dropped(), rm.Dropped(); g != w {
+			t.Errorf("lane %d master %d: dropped %d, naive %d", lane, m, g, w)
 		}
-		if got, want := eng.QueueLen(lane, m), ref.Master(m).QueueLen(); got != want {
-			t.Errorf("lane %d master %d: queue %d, scalar %d", lane, m, got, want)
+		if g, w := gm.QueueLen(), rm.QueueLen(); g != w {
+			t.Errorf("lane %d master %d: queue %d, naive %d", lane, m, g, w)
 		}
-		if got, want := eng.Outstanding(lane, m), ref.Master(m).Outstanding(); got != want {
-			t.Errorf("lane %d master %d: outstanding %v, scalar %v", lane, m, got, want)
-		}
-	}
-	for s := 0; s < eng.NumSlaves(); s++ {
-		if got, want := eng.SlaveWords(lane, s), ref.Slave(s).Words(); got != want {
-			t.Errorf("lane %d slave %d: words %d, scalar %d", lane, s, got, want)
+		if g, w := gm.Outstanding(), rm.Outstanding(); g != w {
+			t.Errorf("lane %d master %d: outstanding %v, naive %v", lane, m, g, w)
 		}
 	}
-	if a := eng.Audit(lane); len(a) != 0 {
-		t.Errorf("lane %d: audit violations: %s", lane, strings.Join(a, "; "))
+	for s := 0; s < got.NumSlaves(); s++ {
+		if g, w := got.Slave(s).Words(), ref.Slave(s).Words(); g != w {
+			t.Errorf("lane %d slave %d: words %d, naive %d", lane, s, g, w)
+		}
+	}
+	if v := check.Audit(got); len(v) != 0 {
+		msgs := make([]string, len(v))
+		for i, x := range v {
+			msgs[i] = x.String()
+		}
+		t.Errorf("lane %d: audit violations: %s", lane, strings.Join(msgs, "; "))
 	}
 }
 
-// runGridCell runs one grid cell lane-vs-scalar and compares each lane.
+// runGridCell runs one grid cell's lanes on the kernel and compares each
+// against its naive reference.
 func runGridCell(t *testing.T, bc check.BusConfig, am check.ArbMaker, gm check.GenMaker) {
 	t.Helper()
-	eng := buildLaneCell(bc, am, gm)
-	if err := eng.Run(eqCycles); err != nil {
+	ls := buildLanes(t, bc, am, gm, eqLanes)
+	if err := runLanes(ls, eqCycles, 2); err != nil {
 		t.Fatalf("lanes: %v", err)
 	}
-	for lane := 0; lane < eqLanes; lane++ {
-		ref, err := check.BuildSeeded(bc, am, gm, false, laneSeedStride*uint64(lane))
-		if err != nil {
-			t.Fatalf("scalar build: %v", err)
-		}
+	for lane, got := range ls {
+		ref := buildLane(t, bc, am, gm, lane, true)
 		if err := ref.Run(eqCycles); err != nil {
-			t.Fatalf("scalar run: %v", err)
+			t.Fatalf("naive run: %v", err)
 		}
-		compareLane(t, eng, ref, lane)
+		compareLane(t, got, ref, lane)
 	}
 }
 
@@ -115,9 +146,9 @@ func TestLaneEquivalenceGrid(t *testing.T) {
 	}
 }
 
-// TestLaneEquivalenceSaturating covers the engine's inlined Saturating
-// fast path (the grid's traffic classes are all Scheduler-backed, so the
-// inline top-up is otherwise untested) across every bus config and
+// TestLaneEquivalenceSaturating covers saturated lanes, which the
+// kernel fast-forwards through bus.Saturator (the grid's traffic
+// classes are all Scheduler-backed), across every bus config and
 // arbiter.
 func TestLaneEquivalenceSaturating(t *testing.T) {
 	gm := check.GenMaker{
@@ -138,31 +169,27 @@ func TestLaneEquivalenceSaturating(t *testing.T) {
 }
 
 // TestLaneChunkedRuns proves Run may be split at arbitrary boundaries:
-// accumulators flushed at each boundary must leave the fingerprints
-// identical to a one-shot run.
+// the arrival cache re-primed at each boundary must leave every lane's
+// fingerprint identical to a one-shot run.
 func TestLaneChunkedRuns(t *testing.T) {
-	pick := func() (check.BusConfig, check.ArbMaker, check.GenMaker) {
-		bc := check.BusConfigs()[2]     // split
-		am := check.Arbiters()[7]       // dynamic-lottery
-		gm := check.TrafficClasses()[2] // onoff
-		return bc, am, gm
-	}
-	bc, am, gm := pick()
-	one := buildLaneCell(bc, am, gm)
-	if err := one.Run(eqCycles); err != nil {
+	bc := check.BusConfigs()[2]     // split
+	am := check.Arbiters()[7]       // dynamic-lottery
+	gm := check.TrafficClasses()[2] // onoff
+	one := buildLanes(t, bc, am, gm, eqLanes)
+	if err := runLanes(one, eqCycles, 1); err != nil {
 		t.Fatal(err)
 	}
-	chunked := buildLaneCell(bc, am, gm)
+	chunked := buildLanes(t, bc, am, gm, eqLanes)
 	for _, n := range []int64{1, 7, 4992, 10000} {
-		if err := chunked.Run(n); err != nil {
+		if err := runLanes(chunked, n, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := chunked.Cycle(), one.Cycle(); got != want {
-		t.Fatalf("chunked cycles %d, one-shot %d", got, want)
-	}
-	for lane := 0; lane < eqLanes; lane++ {
-		if got, want := chunked.Collector(lane).Fingerprint(), one.Collector(lane).Fingerprint(); got != want {
+	for lane := range chunked {
+		if got, want := chunked[lane].Cycle(), one[lane].Cycle(); got != want {
+			t.Fatalf("lane %d: chunked cycles %d, one-shot %d", lane, got, want)
+		}
+		if got, want := chunked[lane].Collector().Fingerprint(), one[lane].Collector().Fingerprint(); got != want {
 			t.Errorf("lane %d: chunked fingerprint %#x, one-shot %#x", lane, got, want)
 		}
 	}
@@ -174,60 +201,67 @@ func TestLaneParallelDeterminism(t *testing.T) {
 	bc := check.BusConfigs()[0]
 	am := check.Arbiters()[6] // static-lottery
 	gm := check.TrafficClasses()[1]
-	build := func(workers int) *lanes.Engine {
-		e := lanes.New(bc.Cfg, 8)
-		for i := 0; i < check.MatrixMasters; i++ {
-			i := i
-			e.AddMaster(fmt.Sprintf("m%d", i), bus.MasterOpts{Tickets: uint64(i + 1)},
-				func(lane int) (bus.Generator, error) {
-					return gm.Make(i, uint64(100+i)+laneSeedStride*uint64(lane))
-				})
-		}
-		e.AddSlave("mem", bus.SlaveOpts{WaitStates: bc.WaitStates})
-		e.AddSlave("io", bus.SlaveOpts{SplitLatency: bc.SplitLatency})
-		e.SetArbiter(func(lane int) (bus.Arbiter, error) { return am.Make() })
-		e.Parallel = workers
-		return e
-	}
-	serial, parallel := build(1), build(4)
-	if err := serial.Run(eqCycles); err != nil {
+	serial, parallel := buildLanes(t, bc, am, gm, 8), buildLanes(t, bc, am, gm, 8)
+	if err := runLanes(serial, eqCycles, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.Run(eqCycles); err != nil {
+	if err := runLanes(parallel, eqCycles, 4); err != nil {
 		t.Fatal(err)
 	}
-	for lane := 0; lane < 8; lane++ {
-		if got, want := parallel.Collector(lane).Fingerprint(), serial.Collector(lane).Fingerprint(); got != want {
+	for lane := range serial {
+		if got, want := parallel[lane].Collector().Fingerprint(), serial[lane].Collector().Fingerprint(); got != want {
 			t.Errorf("lane %d: 4-worker fingerprint %#x, serial %#x", lane, got, want)
 		}
 	}
 }
 
-// TestLaneRejectsPerCycleFeatures asserts the engine refuses
-// configurations that require the scalar per-cycle loop, with an error
-// naming the feature.
+// TestLaneRejectsPerCycleFeatures asserts the kernel refuses to
+// fast-forward lanes whose configuration needs the per-cycle loop: each
+// lane advances cycle by cycle and stays bit-identical to the naive
+// loop, while the same lanes without the feature do fast-forward.
 func TestLaneRejectsPerCycleFeatures(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  bus.Config
-		want string
 	}{
-		{"preemption", bus.Config{Preemption: true}, "preemption"},
-		{"split-timeout", bus.Config{SplitTimeout: 100}, "SplitTimeout"},
-		{"starvation", bus.Config{StarvationThreshold: 50}, "StarvationThreshold"},
+		{"preemption", bus.Config{MaxBurst: 16, Preemption: true}},
+		{"split-timeout", bus.Config{MaxBurst: 16, SplitTimeout: 100}},
+		{"starvation", bus.Config{MaxBurst: 16, StarvationThreshold: 50}},
 	}
-	am := check.Arbiters()[1]
+	build := func(cfg bus.Config, naive bool) *bus.Bus {
+		b := bus.New(cfg)
+		b.DisableFastForward = naive
+		b.AddMaster("m0", &traffic.Saturating{Words: 4}, bus.MasterOpts{Tickets: 1})
+		b.AddMaster("m1", &traffic.Saturating{Words: 6, Slave: 1}, bus.MasterOpts{Tickets: 2})
+		b.AddSlave("mem", bus.SlaveOpts{WaitStates: 1})
+		b.AddSlave("io", bus.SlaveOpts{SplitLatency: 12})
+		a, err := arb.NewPriority([]uint64{0, 1}) // a Preemptor
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetArbiter(a)
+		return b
+	}
+	if plain := build(bus.Config{MaxBurst: 16}, false); plain.Run(2000) != nil || plain.FastForwarded() == 0 {
+		t.Fatalf("control lane without per-cycle features did not fast-forward")
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := lanes.New(tc.cfg, 2)
-			e.AddMaster("m0", bus.MasterOpts{}, func(int) (bus.Generator, error) {
-				return &traffic.Saturating{Words: 4}, nil
-			})
-			e.AddSlave("mem", bus.SlaveOpts{})
-			e.SetArbiter(func(int) (bus.Arbiter, error) { return am.Make() })
-			err := e.Run(10)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want mention of %q", err, tc.want)
+			ls := []*bus.Bus{build(tc.cfg, false), build(tc.cfg, false)}
+			if err := runLanes(ls, 2000, 2); err != nil {
+				t.Fatal(err)
+			}
+			ref := build(tc.cfg, true)
+			if err := ref.Run(2000); err != nil {
+				t.Fatal(err)
+			}
+			for lane, b := range ls {
+				if n := b.FastForwarded(); n != 0 {
+					t.Errorf("lane %d fast-forwarded %d cycles despite %s", lane, n, tc.name)
+				}
+				if got, want := b.Collector().Fingerprint(), ref.Collector().Fingerprint(); got != want {
+					t.Errorf("lane %d: fingerprint %#x, naive %#x", lane, got, want)
+				}
 			}
 		})
 	}

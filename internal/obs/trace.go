@@ -27,8 +27,8 @@ import (
 //     Every Span and Trace method is nil-safe, so instrumented code
 //     never branches on whether tracing is live.
 //   - Strictly off the hot path: spans mark job-lifecycle stages and
-//     chunk boundaries, never per-cycle events, so fast-forward and
-//     lane-engine eligibility and collector fingerprints are untouched.
+//     chunk boundaries, never per-cycle events, so fast-forward
+//     eligibility and collector fingerprints are untouched.
 //
 // Export comes in three shapes: WriteChrome renders the Chrome
 // trace-event JSON consumed by chrome://tracing and Perfetto, Spans

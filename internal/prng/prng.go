@@ -250,44 +250,6 @@ func Shuffle[T any](src Source, s []T) {
 	}
 }
 
-// FillUint64 fills dst with consecutive draws from src — exactly the
-// values len(dst) sequential Uint64 calls would return. Lane-batched
-// consumers use it to refresh a lane's draw buffer in one call without
-// perturbing the stream.
-func FillUint64(src Source, dst []uint64) {
-	for i := range dst {
-		dst[i] = src.Uint64()
-	}
-}
-
-// FillFloat64 fills dst with consecutive Float64 draws from src,
-// bit-identical to len(dst) sequential Float64 calls.
-func FillFloat64(src Source, dst []float64) {
-	for i := range dst {
-		dst[i] = Float64(src)
-	}
-}
-
-// Fill fills dst with consecutive geometric variates, bit-identical to
-// len(dst) sequential Draw calls on the same source.
-func (d GeoDist) Fill(src Source, dst []uint64) {
-	for i := range dst {
-		dst[i] = d.Draw(src)
-	}
-}
-
-// LaneSeeds expands a root seed and a component label into one stream
-// seed per lane: seed l is Derive(root+l, label) — exactly the
-// derivation a scalar replica run at seed root+l performs, which is what
-// keeps lane-batched replica engines bit-identical to scalar replicas.
-func LaneSeeds(root uint64, label string, lanes int) []uint64 {
-	seeds := make([]uint64, lanes)
-	for l := range seeds {
-		seeds[l] = Derive(root+uint64(l), label)
-	}
-	return seeds
-}
-
 // Derive expands a root seed and a component label into an independent
 // stream seed. Components created with distinct labels observe
 // statistically independent streams for the same root seed.

@@ -1,8 +1,8 @@
 // Package serve is the simulation job server: a persistent HTTP/JSON
 // front end that accepts simulation jobs (canonical SimConfig + seed +
-// replicate count), runs them on the engine the config selects against
-// the shared content-addressed result cache, and streams progress and
-// results as JSONL.
+// replicate count), runs each replica against the shared
+// content-addressed result cache, and streams progress and results as
+// JSONL.
 //
 // The package is built to survive overload and crashes rather than
 // merely run:

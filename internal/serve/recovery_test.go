@@ -28,15 +28,18 @@ const recoveryConfig = `{
 // TestCrashRecovery kills the server mid-sweep and restarts it on the
 // same cache and data directories. The restarted server re-enqueues the
 // job from the WAL and finishes it with fingerprints byte-identical to a
-// control server that was never killed. On the scalar engine (here
-// selected by arming the starvation detector) each replica publishes as
-// it finishes, so the replicas done before the kill replay from the
-// cache; a lane-engine job publishes its batch at once, so a kill
-// mid-batch loses the batch and the restart simulates it again.
+// control server that was never killed. Each replica publishes as it
+// finishes, so the replicas done before a kill mid-sweep replay from the
+// cache; a kill right after the job starts leaves every replica to
+// simulate again. The cases are named for the replica engines they were
+// first written for: "scalar" arms the starvation detector, so every
+// replica runs the naive per-cycle loop, and is killed right after the
+// job starts; "lanes" is the plain config, whose replicas fast-forward,
+// killed mid-sweep after two replicas finish.
 func TestCrashRecovery(t *testing.T) {
-	scalarConfig := strings.Replace(recoveryConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"starvationThreshold": 1000000},`, 1)
-	t.Run("scalar", func(t *testing.T) { crashRecovery(t, scalarConfig, "replica_done", 2) })
-	t.Run("lanes", func(t *testing.T) { crashRecovery(t, recoveryConfig, "started", 1) })
+	naiveConfig := strings.Replace(recoveryConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"starvationThreshold": 1000000},`, 1)
+	t.Run("scalar", func(t *testing.T) { crashRecovery(t, naiveConfig, "started", 1) })
+	t.Run("lanes", func(t *testing.T) { crashRecovery(t, recoveryConfig, "replica_done", 2) })
 }
 
 // crashRecovery runs one TestCrashRecovery case: the victim server is

@@ -204,17 +204,14 @@ func (s *Server) walEnd(job *Job, status JobState, reason string) {
 // execute resolves every replica of the job through the result cache
 // and fills job.replicas in replica order. Hits decode the stored
 // snapshot; misses simulate under ctx (stopping at the next chunk
-// boundary on cancellation) on the engine the config selects, and each
-// publishes its snapshot as soon as its simulation ends, so a crash
-// loses only unfinished work: a scalar replica still running, or the
-// whole batch of a lane-engine job. A concurrent job that misses the
-// same replica waits for a one-replica simulation rather than repeat it.
+// boundary on cancellation), each inside its key's cache flight, and
+// publish their snapshot as soon as the simulation ends: a crash loses
+// only the replicas still running, and a concurrent job that misses the
+// same replica waits for this simulation rather than repeat it.
 //
 // Each replica traces on its own track (i+1): a cache_probe span and,
-// on a miss, a snapshot_publish span. A simulate span, tagged with its
-// engine and with one chunk child per RunChunk slice, covers each
-// simulation: on the replica's track when it computes one replica, on
-// track 0 when it computes a lane batch. All span work happens at chunk
+// on a miss, a simulate span with one chunk child per RunChunk slice
+// followed by a snapshot_publish span. All span work happens at chunk
 // boundaries or around the run, never inside it, so fast-forward
 // eligibility and collector fingerprints are untouched.
 func (s *Server) execute(ctx context.Context, job *Job) error {
@@ -256,54 +253,35 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 		tracks[i].End()
 	}
 	err = reps.Simulate(ctx, miss, s.opts.ReplicaWorkers, func(sim *simcfg.Sim) error {
-		parent, track := (*obs.Span)(nil), 0
-		if len(sim.Covers) == 1 {
-			parent, track = tracks[sim.Covers[0]], sim.Covers[0]+1
-		}
-		run := func() error {
-			span := job.trace.StartTrack("simulate", parent, track).Arg("engine", sim.Engine)
-			defer span.End()
+		i := sim.Replica
+		var pubStart time.Time
+		col, src, err := s.cache.Share(keys[i], func() (*stats.Collector, error) {
+			span := job.trace.StartTrack("simulate", tracks[i], i+1)
 			chunkStart := s.clock()
-			return sim.Run(func(done, total int64) {
+			err := sim.Run(func(done, total int64) {
 				now := s.clock()
-				job.trace.AddSpan("chunk", span, track, chunkStart, now.Sub(chunkStart),
+				job.trace.AddSpan("chunk", span, i+1, chunkStart, now.Sub(chunkStart),
 					map[string]any{"cycles_done": done, "cycles_total": total})
 				chunkStart = now
 			})
-		}
-		// A simulation of one replica runs inside the cache's flight for
-		// its key, so a concurrent job missing the same key waits for it
-		// instead of simulating it again. A lane batch runs first and then
-		// publishes replica by replica.
-		shared := len(sim.Covers) == 1
-		if !shared {
-			if err := run(); err != nil {
-				return err
-			}
-		}
-		for _, i := range sim.Covers {
-			var pubStart time.Time
-			col, src, err := s.cache.Share(keys[i], func() (*stats.Collector, error) {
-				if shared {
-					if err := run(); err != nil {
-						return nil, err
-					}
-				}
-				pubStart = s.clock()
-				return sim.Collector(i), nil
-			})
+			span.End()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if src == cache.SourceComputed {
-				job.trace.AddSpan("snapshot_publish", tracks[i], i+1, pubStart, s.clock().Sub(pubStart), nil)
-				s.m.cacheMisses.Add(1)
-			} else {
-				s.m.cacheHits(src.String()).Add(1)
-			}
-			results[i] = s.replicaDone(job, reps, i, col, src)
-			tracks[i].End()
+			pubStart = s.clock()
+			return sim.System.Collector(), nil
+		})
+		if err != nil {
+			return err
 		}
+		if src == cache.SourceComputed {
+			job.trace.AddSpan("snapshot_publish", tracks[i], i+1, pubStart, s.clock().Sub(pubStart), nil)
+			s.m.cacheMisses.Add(1)
+		} else {
+			s.m.cacheHits(src.String()).Add(1)
+		}
+		results[i] = s.replicaDone(job, reps, i, col, src)
+		tracks[i].End()
 		return nil
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lotterybus"
 	"lotterybus/internal/obs"
 	"lotterybus/internal/simcfg"
 )
@@ -136,27 +137,21 @@ func TestSubmitRunReplay(t *testing.T) {
 	}
 }
 
-// TestLanesMatchScalar submits a config the lane engine runs and the
-// same config with the split watchdog armed, which selects the scalar
-// engine. Both jobs must finish done, trace the engine that ran them,
-// and carry the fingerprints of direct scalar runs of every replica.
+// TestLanesMatchScalar submits a plain config and the same config
+// with the split watchdog armed. Both jobs must finish done, every
+// replica lane carrying the fingerprint of a direct scalar System run.
 func TestLanesMatchScalar(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
 	armed := strings.Replace(testConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"splitTimeout": 500},`, 1)
-	for _, tc := range []struct{ engine, config string }{{"lanes", testConfig}, {"scalar", armed}} {
-		cfg, err := simcfg.ParseConfig(strings.NewReader(tc.config))
+	for _, config := range []string{testConfig, armed} {
+		cfg, err := simcfg.ParseConfig(strings.NewReader(config))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := fmt.Sprintf(`{"client":"a","replicate":3,"config":%s}`, tc.config)
+		body := fmt.Sprintf(`{"client":"a","replicate":3,"config":%s}`, config)
 		st := waitTerminal(t, ts, submit(t, ts, body).ID, 10*time.Second)
 		if st.State != StateDone || len(st.Replicas) != 3 {
-			t.Fatalf("%s job: %s (%s) with %d replicas", tc.engine, st.State, st.Reason, len(st.Replicas))
-		}
-		for _, ev := range getTrace(t, ts.URL, st.ID).TraceEvents {
-			if ev.Name == "simulate" && ev.Args["engine"] != tc.engine {
-				t.Fatalf("%s job simulated on engine %v", tc.engine, ev.Args["engine"])
-			}
+			t.Fatalf("job: %s (%s) with %d replicas", st.State, st.Reason, len(st.Replicas))
 		}
 		for i, r := range st.Replicas {
 			c := *cfg
@@ -169,41 +164,108 @@ func TestLanesMatchScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := fmt.Sprintf("%016x", sys.Collector().Fingerprint()); r.Fingerprint != want {
-				t.Fatalf("%s job replica %d: fingerprint %s, direct scalar run %s", tc.engine, i, r.Fingerprint, want)
+				t.Fatalf("replica %d: fingerprint %s, direct run %s", i, r.Fingerprint, want)
 			}
 		}
 	}
 }
 
 // TestConcurrentDuplicateJobsSimulateOnce pins the cache flight around
-// one-replica simulations: two identical scalar-engine jobs running at
-// once compute each replica once between them, the other job taking the
-// published result.
+// each replica's simulation: two identical jobs running at once simulate
+// each replica exactly once between them, the other job taking the
+// published result. It covers a watchdog-armed config and the sample
+// config, and counts simulate spans, so a job that simulated a replica
+// and then found it already published still counts.
 func TestConcurrentDuplicateJobsSimulateOnce(t *testing.T) {
-	_, ts := newTestServer(t, Options{Jobs: 2, ReplicaWorkers: 1})
+	const replicate = 3
+	sample := simcfg.SampleConfig()
+	sample.Cycles = 1000000
+	sampleJSON, err := json.Marshal(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
 	armed := strings.Replace(testConfig, `"maxBurst": 8,`, `"maxBurst": 8, "resilience": {"splitTimeout": 500},`, 1)
 	armed = strings.Replace(armed, `"cycles": 20000`, `"cycles": 1000000`, 1)
-	body := fmt.Sprintf(`{"client":"a","replicate":2,"config":%s}`, armed)
-	first, second := submit(t, ts, body), submit(t, ts, body)
-	computed := 0
-	var fps [2][]string
-	for k, id := range []string{first.ID, second.ID} {
-		st := waitTerminal(t, ts, id, 30*time.Second)
-		if st.State != StateDone || len(st.Replicas) != 2 {
-			t.Fatalf("job %s: %s (%s) with %d replicas", id, st.State, st.Reason, len(st.Replicas))
-		}
-		for _, r := range st.Replicas {
-			if r.Source == "computed" {
-				computed++
+	for name, config := range map[string]string{"armed": armed, "sample": string(sampleJSON)} {
+		_, ts := newTestServer(t, Options{Jobs: 2, ReplicaWorkers: 1})
+		body := fmt.Sprintf(`{"client":"a","replicate":%d,"config":%s}`, replicate, config)
+		first, second := submit(t, ts, body), submit(t, ts, body)
+		computed, simulated := 0, 0
+		var fps [2][]string
+		for k, id := range []string{first.ID, second.ID} {
+			st := waitTerminal(t, ts, id, 30*time.Second)
+			if st.State != StateDone || len(st.Replicas) != replicate {
+				t.Fatalf("%s job %s: %s (%s) with %d replicas", name, id, st.State, st.Reason, len(st.Replicas))
 			}
-			fps[k] = append(fps[k], r.Fingerprint)
+			for _, r := range st.Replicas {
+				if r.Source == "computed" {
+					computed++
+				}
+				fps[k] = append(fps[k], r.Fingerprint)
+			}
+			simulated += spanCounts(getTrace(t, ts.URL, id))["simulate"]
+		}
+		if computed != replicate || simulated != replicate {
+			t.Errorf("%s: %d replicas computed and %d simulated across two identical jobs, want %d each",
+				name, computed, simulated, replicate)
+		}
+		if fmt.Sprint(fps[0]) != fmt.Sprint(fps[1]) {
+			t.Errorf("%s: fingerprints differ: %v vs %v", name, fps[0], fps[1])
 		}
 	}
-	if computed != 2 {
-		t.Errorf("%d replicas computed across two identical jobs, want 2", computed)
+}
+
+// TestCanceledJobSparesItsDuplicate cancels a job while an identical
+// job waits on its replica's cache flight. The cancellation is the
+// first job's alone: the second must simulate the replica itself and
+// finish done with the direct run's fingerprint, not inherit
+// context.Canceled and stall as interrupted.
+func TestCanceledJobSparesItsDuplicate(t *testing.T) {
+	cfg := simcfg.SampleConfig()
+	cfg.Cycles = 16 * lotterybus.RunChunk
+	config, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(fps[0]) != fmt.Sprint(fps[1]) {
-		t.Errorf("fingerprints differ: %v vs %v", fps[0], fps[1])
+	_, ts := newTestServer(t, Options{Jobs: 2, ReplicaWorkers: 1})
+	body := fmt.Sprintf(`{"client":"a","replicate":1,"config":%s}`, config)
+	waitSpan := func(id, name string) {
+		t.Helper()
+		deadline := obs.Now().Add(30 * time.Second)
+		for spanCounts(getTrace(t, ts.URL, id))[name] == 0 {
+			if obs.Now().After(deadline) {
+				t.Fatalf("job %s: no %s span after 30s", id, name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	first := submit(t, ts, body)
+	waitSpan(first.ID, "chunk") // first leads the replica's flight
+	second := submit(t, ts, body)
+	waitSpan(second.ID, "cache_probe") // second missed and joins the flight
+	time.Sleep(20 * time.Millisecond)  // let it block on the leader
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+first.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := waitTerminal(t, ts, first.ID, 30*time.Second); st.State != StateCanceled {
+		t.Fatalf("first job: %s (%s), want canceled", st.State, st.Reason)
+	}
+	st := waitTerminal(t, ts, second.ID, 60*time.Second)
+	if st.State != StateDone || len(st.Replicas) != 1 {
+		t.Fatalf("second job: %s (%s) with %d replicas, want done", st.State, st.Reason, len(st.Replicas))
+	}
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(cfg.Cycles); err != nil {
+		t.Fatal(err)
+	}
+	if r, want := st.Replicas[0], fmt.Sprintf("%016x", sys.Collector().Fingerprint()); r.Source != "computed" || r.Fingerprint != want {
+		t.Fatalf("second job's replica: %s fingerprint %s, want computed %s", r.Source, r.Fingerprint, want)
 	}
 }
 

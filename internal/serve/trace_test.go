@@ -59,9 +59,9 @@ func spanCounts(doc chromeDoc) map[string]int {
 
 // TestTraceColdVsWarmSpanTrees checks that the same job run cold
 // (simulating) and warm (cache replay) produces structurally different
-// span trees — the cold trace has one lane-engine simulate span with
-// chunk children and a snapshot_publish per replica, the warm one
-// resolves entirely at the cache probes.
+// span trees — the cold trace has a simulate span with chunk children
+// and a snapshot_publish per replica, the warm one resolves entirely at
+// the cache probes.
 func TestTraceColdVsWarmSpanTrees(t *testing.T) {
 	_, ts := newTestServer(t, Options{CacheDir: t.TempDir(), Jobs: 1})
 
@@ -92,21 +92,16 @@ func TestTraceColdVsWarmSpanTrees(t *testing.T) {
 			t.Fatalf("cold trace missing %q span (have %v)", name, coldN)
 		}
 	}
-	// Cold: two replicas on the lane engine — one simulate span for the
-	// job, with chunks, and one snapshot_publish per replica.
+	// Cold: two replicas, each with one simulate span (with chunks) and
+	// one snapshot_publish on its own track.
 	if coldN["replica 0"] != 1 || coldN["replica 1"] != 1 {
 		t.Fatalf("cold trace replica spans = %v, want one each for replicas 0 and 1", coldN)
 	}
-	if coldN["simulate"] != 1 || coldN["snapshot_publish"] != 2 {
-		t.Fatalf("cold trace simulate/snapshot_publish = %d/%d, want 1/2", coldN["simulate"], coldN["snapshot_publish"])
+	if coldN["simulate"] != 2 || coldN["snapshot_publish"] != 2 {
+		t.Fatalf("cold trace simulate/snapshot_publish = %d/%d, want 2/2", coldN["simulate"], coldN["snapshot_publish"])
 	}
 	if coldN["chunk"] < 1 {
 		t.Fatalf("cold trace chunk spans = %d, want >= 1", coldN["chunk"])
-	}
-	for _, ev := range coldDoc.TraceEvents {
-		if ev.Name == "simulate" && ev.Args["engine"] != "lanes" {
-			t.Fatalf("cold simulate span args = %v, want engine=lanes", ev.Args)
-		}
 	}
 	// Warm: cache probes hit, nothing simulates, nothing re-publishes.
 	if warmN["cache_probe"] != 2 {
@@ -123,10 +118,14 @@ func TestTraceColdVsWarmSpanTrees(t *testing.T) {
 			}
 		}
 	}
-	// Replica spans live on their own Chrome tracks (tid = replica+1).
+	// Replica spans live on their own Chrome tracks (tid = replica+1),
+	// and so do their simulations.
 	for _, ev := range coldDoc.TraceEvents {
 		if ev.Name == "replica 1" && ev.TID != 2 {
 			t.Fatalf("replica 1 on tid %d, want 2", ev.TID)
+		}
+		if ev.Name == "simulate" && (ev.TID < 1 || ev.TID > 2) {
+			t.Fatalf("simulate span on tid %d, want a replica track", ev.TID)
 		}
 	}
 }

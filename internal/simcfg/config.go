@@ -170,8 +170,8 @@ func ParseConfig(r io.Reader) (*SimConfig, error) {
 	return &cfg, nil
 }
 
-// Build constructs the System described by the config — the scalar
-// engine, one replica at Seed.
+// Build constructs the System described by the config: one replica at
+// Seed.
 func (cfg *SimConfig) Build() (*lotterybus.System, error) {
 	sys := lotterybus.NewSystem(cfg.busConfig())
 	cfg.addSlaves(sys)
@@ -190,23 +190,22 @@ func (cfg *SimConfig) Build() (*lotterybus.System, error) {
 	return sys, cfg.useArbiter(sys)
 }
 
-// BuildReplicaSet constructs `replicas` seed-replicas of the system on
-// the lane engine: replica i is bit-identical to Build() on a copy of
-// the config with Seed+i — traffic streams are seeded from cfg.Seed+i
+// BuildReplicaSet constructs `replicas` seed-replicas of the system as
+// one ReplicaSet: replica i is bit-identical to Build() on a copy of the
+// config with Seed+i — traffic streams are seeded from cfg.Seed+i
 // exactly as Build seeds them, and the Use* selectors derive replica
-// i's arbiter stream from Seed+i with the scalar labels.
+// i's arbiter stream from Seed+i.
 //
-// Configs LaneEngine declines are rejected: fault injection here, the
-// split watchdog and starvation detector by the engine at Run. Seed 0
-// is rejected too: the scalar path promotes a zero system seed to 1 per
-// replica, which collides replica 0's and replica 1's arbiter streams —
-// a degenerate shape the replica set will not reproduce.
+// Fault injection is rejected: a ReplicaSet has no fault model. Seed 0
+// is rejected too: Build promotes a zero system seed to 1 per replica,
+// which collides replica 0's and replica 1's arbiter streams — a
+// degenerate shape the replica set will not reproduce.
 func (cfg *SimConfig) BuildReplicaSet(replicas int) (*lotterybus.ReplicaSet, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("fault injection needs the per-cycle scalar engine")
+		return nil, fmt.Errorf("a replica set has no fault injection; Build each faulted replica")
 	}
 	if cfg.Seed == 0 {
-		return nil, fmt.Errorf("the lane engine needs a positive seed (seed 0 collides replica arbiter streams)")
+		return nil, fmt.Errorf("a replica set needs a positive seed (seed 0 collides replica arbiter streams)")
 	}
 	rs := lotterybus.NewReplicaSet(cfg.busConfig(), replicas)
 	cfg.addSlaves(rs)
@@ -219,17 +218,6 @@ func (cfg *SimConfig) BuildReplicaSet(replicas int) (*lotterybus.ReplicaSet, err
 	return rs, cfg.useArbiter(rs)
 }
 
-// LaneEngine reports whether the config's seed replicas run on the lane
-// engine (BuildReplicaSet) rather than one scalar System each (Build).
-// Replicas run on the lane engine unless the config arms faults, the
-// split watchdog or the starvation detector, or uses seed 0: the lane
-// engine has no per-cycle hooks, and seed 0 is a shape it does not
-// reproduce. Both engines are bit-identical wherever this holds, so the
-// choice changes speed, never results.
-func (cfg *SimConfig) LaneEngine() bool {
-	return !cfg.perCycleHooks() && cfg.Seed != 0
-}
-
 // perCycleHooks reports whether the config arms machinery that runs
 // every cycle: fault injection, the split watchdog or the starvation
 // detector.
@@ -238,7 +226,7 @@ func (cfg *SimConfig) perCycleHooks() bool {
 	return cfg.Faults != nil || r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0)
 }
 
-// busConfig is the lotterybus.Config both engines are built from.
+// busConfig is the lotterybus.Config Build and BuildReplicaSet share.
 func (cfg *SimConfig) busConfig() lotterybus.Config {
 	c := lotterybus.Config{
 		MaxBurst:   cfg.MaxBurst,

@@ -30,9 +30,9 @@ const Never = int64(math.MaxInt64)
 //   - SkipTo(cycle) tells the generator the bus fast-forwarded to cycle
 //     without calling Tick for the intermediate (arrival-free) cycles.
 //
-// A generator that cannot predict its arrivals (e.g. one reacting to
-// queue depth, like Saturating) simply does not implement Scheduler; the
-// bus then falls back to the naive per-cycle loop.
+// Saturating, whose emissions depend on the live queue depth, joins the
+// fast path through bus.Saturator instead (see Depth). A generator that
+// implements neither falls back to the naive per-cycle loop.
 type Scheduler interface {
 	NextArrival(cycle int64) int64
 	SkipTo(cycle int64)
@@ -128,13 +128,19 @@ type Saturating struct {
 
 // Tick emits messages until the queue holds Backlog entries.
 func (s *Saturating) Tick(_ int64, queued int, emit func(words, slave int)) {
-	backlog := s.Backlog
-	if backlog <= 0 {
-		backlog = 2
-	}
-	for ; queued < backlog; queued++ {
+	for backlog := s.Depth(); queued < backlog; queued++ {
 		emit(s.Words, s.Slave)
 	}
+}
+
+// Depth returns the queue depth Tick maintains: Backlog, or 2 when
+// unset. It is the bus.Saturator contract that makes a saturated bus
+// event-predictable: the queue can only fall below Depth after a pop.
+func (s *Saturating) Depth() int {
+	if s.Backlog <= 0 {
+		return 2
+	}
+	return s.Backlog
 }
 
 // Periodic emits one Words-sized message every Period cycles, starting at
@@ -459,10 +465,9 @@ type bus2Generator interface {
 	Tick(cycle int64, queued int, emit func(words, slave int))
 }
 
-// Every predictable generator opts into the fast-forward contract.
-// Saturating deliberately does not: its emissions depend on the live
-// queue depth, so it needs per-cycle Ticks (and a saturated bus has no
-// dead cycles to skip anyway).
+// Every generator that predicts its arrivals opts into the fast-forward
+// contract; Saturating, whose arrivals follow its queue's pops, opts in
+// through Depth (bus.Saturator) instead.
 var (
 	_ Scheduler = (*Bernoulli)(nil)
 	_ Scheduler = (*OnOff)(nil)

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/check"
 	"lotterybus/internal/core"
@@ -143,11 +144,14 @@ func (s *System) Inject(master, words, slave int) bool {
 // UseLottery selects the static LOTTERYBUS arbiter: master weights are
 // lottery tickets, and bandwidth is allocated in proportion to them.
 func (s *System) UseLottery() error {
-	a, err := buildStaticLottery(prng.Derive(s.cfg.Seed, staticLotteryLabel), s.weights)
+	mgr, err := core.NewStaticLottery(core.StaticConfig{
+		Tickets: s.weights,
+		Source:  prng.NewXorShift64Star(prng.Derive(s.cfg.Seed, "lotterybus/static")),
+	})
 	if err != nil {
 		return err
 	}
-	s.b.SetArbiter(a)
+	s.b.SetArbiter(arb.NewStaticLottery(mgr))
 	return nil
 }
 
@@ -155,11 +159,11 @@ func (s *System) UseLottery() error {
 // holdings are sampled live on every arbitration, so SetWeight
 // re-provisions bandwidth at run time.
 func (s *System) UseDynamicLottery() error {
-	a, err := buildDynamicLottery(prng.Derive(s.cfg.Seed, dynamicLotteryLabel), len(s.weights))
+	mgr, err := s.dynamicManager("lotterybus/dynamic")
 	if err != nil {
 		return err
 	}
-	s.b.SetArbiter(a)
+	s.b.SetArbiter(arb.NewDynamicLottery(mgr))
 	return nil
 }
 
@@ -169,50 +173,59 @@ func (s *System) UseDynamicLottery() error {
 // next win, so bandwidth shares track the configured weights even when
 // masters send differently sized messages.
 func (s *System) UseCompensatedLottery() error {
-	a, err := buildCompensatedLottery(prng.Derive(s.cfg.Seed, compensatedLotteryLabel), s.weights, s.cfg.MaxBurst)
+	mgr, err := s.dynamicManager("lotterybus/compensated")
 	if err != nil {
 		return err
 	}
-	s.b.SetArbiter(a)
-	return nil
+	maxBurst := s.cfg.MaxBurst
+	if maxBurst == 0 {
+		maxBurst = 16
+	}
+	return s.setArbiter(arb.NewCompensatedLottery(s.weights, maxBurst, mgr))
+}
+
+// dynamicManager builds a dynamic lottery manager over the masters,
+// drawing from the system seed's stream for label.
+func (s *System) dynamicManager(label string) (*core.DynamicLottery, error) {
+	return core.NewDynamicLottery(core.DynamicConfig{
+		Masters: len(s.weights),
+		Source:  prng.NewXorShift64Star(prng.Derive(s.cfg.Seed, label)),
+	})
 }
 
 // UsePriority selects static-priority arbitration: master weights are
 // priorities (larger wins).
 func (s *System) UsePriority() error {
-	a, err := newPriorityArb(s.weights)
-	if err != nil {
-		return err
-	}
-	s.b.SetArbiter(a)
-	return nil
+	return s.setArbiter(arb.NewPriority(s.weights))
 }
 
 // UseTDMA selects time-division multiplexed arbitration: each master
 // owns weight*slotsPerWeight contiguous slots of the timing wheel.
 // twoLevel enables round-robin reclamation of idle slots.
 func (s *System) UseTDMA(slotsPerWeight int, twoLevel bool) error {
-	a, err := buildTDMA(s.weights, slotsPerWeight, twoLevel)
-	if err != nil {
-		return err
+	if slotsPerWeight <= 0 {
+		slotsPerWeight = 1
 	}
-	s.b.SetArbiter(a)
-	return nil
+	slots := make([]int, len(s.weights))
+	for i, w := range s.weights {
+		slots[i] = int(w) * slotsPerWeight
+	}
+	return s.setArbiter(arb.NewTDMA(arb.ContiguousWheel(slots), len(s.weights), twoLevel))
 }
 
 // UseRoundRobin selects weight-blind round-robin arbitration.
 func (s *System) UseRoundRobin() error {
-	a, err := newRoundRobinArb(len(s.weights))
-	if err != nil {
-		return err
-	}
-	s.b.SetArbiter(a)
-	return nil
+	return s.setArbiter(arb.NewRoundRobin(len(s.weights)))
 }
 
 // UseTokenRing selects token-ring arbitration (one cycle per token hop).
 func (s *System) UseTokenRing() error {
-	a, err := newTokenRingArb(len(s.weights))
+	return s.setArbiter(arb.NewTokenRing(len(s.weights), 0))
+}
+
+// setArbiter attaches a freshly constructed arbiter unless its
+// construction failed.
+func (s *System) setArbiter(a bus.Arbiter, err error) error {
 	if err != nil {
 		return err
 	}
@@ -309,10 +322,11 @@ func (s *System) Cycle() int64 { return s.b.Cycle() }
 // Run simulates n bus cycles; it may be called repeatedly.
 //
 // When no OnCycle callback is registered and every generator can
-// predict its arrivals, Run uses the bus's event-driven fast-forward
-// engine, skipping dead cycles and batching uninterrupted burst
-// transfers while producing bit-identical statistics; see
-// FastForwardedCycles.
+// predict its arrivals (every constructor in this package's traffic
+// helpers can, SaturatingTraffic included), Run uses the bus's
+// event-driven fast-forward engine, skipping dead cycles and batching
+// uninterrupted burst transfers while producing bit-identical
+// statistics; see FastForwardedCycles.
 func (s *System) Run(n int64) error { return s.b.Run(n) }
 
 // RunChunk is the number of cycles RunContext simulates between

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// rsTopology describes the mixed test system both engines build: a
+// rsAddMasters describes the mixed test system both builders use: a
 // saturating master, a heavy Bernoulli master and a periodic master over
 // a wait-state slave and a split slave — every master completes
 // messages, so the reports carry no NaNs and compare with DeepEqual.
@@ -40,8 +40,8 @@ func normalizeNaNs(rep *Report) {
 	}
 }
 
-// buildScalarReplica builds the scalar twin of replica l: same system at
-// Seed+l, exactly as lotterysim's -replicate loop does.
+// buildScalarReplica builds the standalone twin of replica l: same
+// system at Seed+l, exactly as lotterysim's -replicate loop does.
 func buildScalarReplica(t *testing.T, base Config, replica int, use func(*System) error) *System {
 	t.Helper()
 	cfg := base
@@ -64,7 +64,7 @@ func buildScalarReplica(t *testing.T, base Config, replica int, use func(*System
 
 // TestReplicaSetMatchesScalarReplicas proves the facade contract for
 // every arbiter selector: ReplicaSet replica l reports field for field
-// what a scalar System at Seed+l reports.
+// what a standalone System at Seed+l reports.
 func TestReplicaSetMatchesScalarReplicas(t *testing.T) {
 	const replicas, cycles = 3, 20000
 	base := Config{Seed: 42, MaxBurst: 16}
@@ -109,7 +109,7 @@ func TestReplicaSetMatchesScalarReplicas(t *testing.T) {
 				normalizeNaNs(&got)
 				normalizeNaNs(&want)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("replica %d: lane report diverges from scalar\nlanes:  %+v\nscalar: %+v", l, got, want)
+					t.Errorf("replica %d: report diverges from a standalone System\nset:    %+v\nsystem: %+v", l, got, want)
 				}
 				if viol := rs.CheckInvariants(l); len(viol) != 0 {
 					t.Errorf("replica %d: %s", l, strings.Join(viol, "; "))
@@ -119,28 +119,76 @@ func TestReplicaSetMatchesScalarReplicas(t *testing.T) {
 	}
 }
 
-// TestReplicaSetRejectsPerCycleFeatures asserts the facade surfaces the
-// lane engine's clear rejection of watchdog/starvation configs.
-func TestReplicaSetRejectsPerCycleFeatures(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"split-timeout", Config{Seed: 1, SplitTimeout: 100}, "SplitTimeout"},
-		{"starvation", Config{Seed: 1, StarvationThreshold: 10}, "StarvationThreshold"},
+// TestReplicaSetRunsPerCycleFeatures proves configs arming the split
+// watchdog or the starvation detector run in a replica set, replica l
+// bit-identical to a standalone System at Seed+l.
+func TestReplicaSetRunsPerCycleFeatures(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, SplitTimeout: 10},
+		{Seed: 1, StarvationThreshold: 10},
 	} {
-		rs := NewReplicaSet(tc.cfg, 2)
-		rs.AddSlave("mem", 0)
-		rs.AddMaster("m", 1, func(int) (Generator, error) {
-			return SaturatingTraffic(8, 0), nil
+		rs := NewReplicaSet(cfg, 2)
+		rs.AddSlave("mem", 2)
+		rs.AddSplitSlave("io", 12)
+		rsAddMasters(func(name string, weight uint64, gen func(int) (Generator, error)) {
+			rs.AddMaster(name, weight, gen)
 		})
 		if err := rs.UseLottery(); err != nil {
 			t.Fatal(err)
 		}
-		err := rs.Run(100)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.want)
+		if err := rs.Run(20000); err != nil {
+			t.Fatal(err)
 		}
+		for l := 0; l < 2; l++ {
+			sys := buildScalarReplica(t, cfg, l, (*System).UseLottery)
+			if err := sys.Run(20000); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rs.Collector(l).Fingerprint(), sys.Collector().Fingerprint(); got != want {
+				t.Errorf("%+v replica %d: fingerprint %#x, standalone System %#x", cfg, l, got, want)
+			}
+		}
+	}
+}
+
+// TestReplicaSetParallelDeterminism proves the worker count does not
+// influence results, and that a generator factory error surfaces at Run.
+func TestReplicaSetParallelDeterminism(t *testing.T) {
+	build := func(workers int) *ReplicaSet {
+		rs := NewReplicaSet(Config{Seed: 9}, 5)
+		rs.AddSlave("mem", 2)
+		rs.AddSplitSlave("io", 12)
+		rsAddMasters(func(name string, weight uint64, gen func(int) (Generator, error)) {
+			rs.AddMaster(name, weight, gen)
+		})
+		if err := rs.UseDynamicLottery(); err != nil {
+			t.Fatal(err)
+		}
+		rs.SetParallel(workers)
+		return rs
+	}
+	serial, parallel := build(1), build(3)
+	if err := serial.Run(20000); err != nil {
+		t.Fatal(err)
+	}
+	if err := parallel.Run(20000); err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l < 5; l++ {
+		if got, want := parallel.Collector(l).Fingerprint(), serial.Collector(l).Fingerprint(); got != want {
+			t.Errorf("replica %d: 3-worker fingerprint %#x, serial %#x", l, got, want)
+		}
+	}
+
+	bad := NewReplicaSet(Config{Seed: 1}, 2)
+	bad.AddSlave("mem", 0)
+	bad.AddMaster("m", 1, func(replica int) (Generator, error) {
+		return BernoulliTraffic(-1, 8, 0, uint64(replica))
+	})
+	if err := bad.UseLottery(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Run(10); err == nil || !strings.Contains(err.Error(), "master m") {
+		t.Errorf("factory error: Run returned %v, want it to name master m", err)
 	}
 }

@@ -86,7 +86,7 @@ func TestRunContextCancelStopsEarly(t *testing.T) {
 	}
 }
 
-// TestReplicaSetRunContextBitIdentical proves the lane engine's chunked
+// TestReplicaSetRunContextBitIdentical proves the replica set's chunked
 // context run matches a single Run per replica.
 func TestReplicaSetRunContextBitIdentical(t *testing.T) {
 	build := func() *ReplicaSet {

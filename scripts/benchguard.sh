@@ -9,12 +9,12 @@
 #   1. Scalar regression gate: the obs-disabled per-cycle cost
 #      (BenchmarkBusCycleSaturated4Masters) of the current tree must stay
 #      within TOLERANCE of the baseline tree's.
-#   2. Lane gates: the lane-batched replica engine
-#      (BenchmarkLaneCycleSaturated4Masters, internal/lanes) must be at
-#      least LANES_SPEEDUP x faster per lane-cycle than the current
-#      tree's scalar per-cycle cost, and — when the baseline tree already
-#      has internal/lanes — must itself stay within TOLERANCE of the
-#      baseline lane cost.
+#   2. Fast-forward gates: the event-driven engine on a saturated
+#      four-master bus of traffic.Saturating masters
+#      (BenchmarkTickStaticLottery) must be at least FAST_SPEEDUP x faster
+#      per cycle than its naive-loop twin (BenchmarkTickStaticLotteryNaive)
+#      in the current tree, and must stay within TOLERANCE of the same
+#      benchmark in the baseline tree.
 #   3. Cache gate (current tree only, no baseline needed): a warm sweep
 #      replayed from the result cache (BenchmarkSparseSweepWarm,
 #      internal/expt) must be at least CACHE_SPEEDUP x faster than the
@@ -26,7 +26,7 @@
 #                  tree is dirty (local use), else merge-base with
 #                  origin/main, else HEAD~1 (a push to main)
 #   tolerance    = $LOTTERYBUS_BENCH_TOLERANCE (fractional, default 0.02)
-#   lane speedup = $LOTTERYBUS_LANES_SPEEDUP (factor, default 2.0)
+#   fast speedup = $LOTTERYBUS_FAST_SPEEDUP (factor, default 2.0)
 #   cache speedup= $LOTTERYBUS_CACHE_SPEEDUP (factor, default 5.0)
 #
 # All test binaries are compiled up front and run in alternating rounds,
@@ -38,11 +38,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TOLERANCE="${LOTTERYBUS_BENCH_TOLERANCE:-0.02}"
-LANES_SPEEDUP="${LOTTERYBUS_LANES_SPEEDUP:-2.0}"
+FAST_SPEEDUP="${LOTTERYBUS_FAST_SPEEDUP:-2.0}"
 CACHE_SPEEDUP="${LOTTERYBUS_CACHE_SPEEDUP:-5.0}"
 ROUNDS="${LOTTERYBUS_BENCH_ROUNDS:-5}"
 BENCH='BenchmarkBusCycleSaturated4Masters'
-LANE_BENCH='BenchmarkLaneCycleSaturated4Masters'
+FAST_BENCH='BenchmarkTickStaticLottery'
+NAIVE_BENCH='BenchmarkTickStaticLotteryNaive'
 COLD_BENCH='BenchmarkSparseSweepFast'
 WARM_BENCH='BenchmarkSparseSweepWarm'
 
@@ -64,16 +65,10 @@ trap 'git worktree remove --force "$worktree" >/dev/null 2>&1 || true
       rm -rf "$worktree" "$bindir"' EXIT
 git worktree add --detach "$worktree" "$base_ref" >/dev/null
 
-echo "benchguard: baseline $(git rev-parse --short "$base_ref"), tolerance ${TOLERANCE}, lane speedup >=${LANES_SPEEDUP}x, rounds ${ROUNDS}"
+echo "benchguard: baseline $(git rev-parse --short "$base_ref"), tolerance ${TOLERANCE}, fast speedup >=${FAST_SPEEDUP}x, rounds ${ROUNDS}"
 (cd "$worktree" && go test -c -o "$bindir/base.test" ./internal/bus/)
 go test -c -o "$bindir/cur.test" ./internal/bus/
-go test -c -o "$bindir/cur-lanes.test" ./internal/lanes/
 go test -c -o "$bindir/cur-expt.test" ./internal/expt/
-base_has_lanes=0
-if [ -d "$worktree/internal/lanes" ]; then
-  base_has_lanes=1
-  (cd "$worktree" && go test -c -o "$bindir/base-lanes.test" ./internal/lanes/)
-fi
 
 run_once() { # binary, benchmark
   "$bindir/$1.test" -test.run '^$' -test.bench "$2\$" -test.benchtime 1s |
@@ -88,30 +83,30 @@ min() { # sample, best-so-far
 # lands a few percent slow while the CPU ramps up.
 run_once base "$BENCH" >/dev/null
 run_once cur "$BENCH" >/dev/null
-run_once cur-lanes "$LANE_BENCH" >/dev/null
-[ "$base_has_lanes" = 1 ] && run_once base-lanes "$LANE_BENCH" >/dev/null
+run_once base "$FAST_BENCH" >/dev/null
+run_once cur "$FAST_BENCH" >/dev/null
 run_once cur-expt "$COLD_BENCH" >/dev/null
 
-base_best='' cur_best='' lane_best='' base_lane_best='' cold_best='' warm_best=''
+base_best='' cur_best='' fast_best='' base_fast_best='' naive_best='' cold_best='' warm_best=''
 for _ in $(seq "$ROUNDS"); do
   b=$(run_once base "$BENCH")
   c=$(run_once cur "$BENCH")
-  l=$(run_once cur-lanes "$LANE_BENCH")
+  bf=$(run_once base "$FAST_BENCH")
+  f=$(run_once cur "$FAST_BENCH")
+  nv=$(run_once cur "$NAIVE_BENCH")
   cold=$(run_once cur-expt "$COLD_BENCH")
   warm=$(run_once cur-expt "$WARM_BENCH")
-  if [ -z "$b" ] || [ -z "$c" ] || [ -z "$l" ] || [ -z "$cold" ] || [ -z "$warm" ]; then
-    echo "benchguard: benchmark produced no sample (base='$b' current='$c' lanes='$l' cold='$cold' warm='$warm')" >&2
+  if [ -z "$b" ] || [ -z "$c" ] || [ -z "$bf" ] || [ -z "$f" ] || [ -z "$nv" ] || [ -z "$cold" ] || [ -z "$warm" ]; then
+    echo "benchguard: benchmark produced no sample (base='$b' current='$c' base-fast='$bf' fast='$f' naive='$nv' cold='$cold' warm='$warm')" >&2
     exit 1
   fi
   base_best=$(min "$b" "$base_best")
   cur_best=$(min "$c" "$cur_best")
-  lane_best=$(min "$l" "$lane_best")
+  base_fast_best=$(min "$bf" "$base_fast_best")
+  fast_best=$(min "$f" "$fast_best")
+  naive_best=$(min "$nv" "$naive_best")
   cold_best=$(min "$cold" "$cold_best")
   warm_best=$(min "$warm" "$warm_best")
-  if [ "$base_has_lanes" = 1 ]; then
-    bl=$(run_once base-lanes "$LANE_BENCH")
-    [ -n "$bl" ] && base_lane_best=$(min "$bl" "$base_lane_best")
-  fi
 done
 
 fail=0
@@ -123,20 +118,18 @@ awk -v cur="$cur_best" -v base="$base_best" -v tol="$TOLERANCE" 'BEGIN {
   exit cur <= limit ? 0 : 1
 }' || fail=1
 
-awk -v lane="$lane_best" -v cur="$cur_best" -v need="$LANES_SPEEDUP" 'BEGIN {
-  printf "benchguard: lanes   %.2f ns/lane-cycle vs scalar %.2f ns/cycle (%.2fx, need >=%.2fx)\n",
-    lane, cur, cur / lane, need
-  exit cur / lane >= need ? 0 : 1
+awk -v fast="$fast_best" -v naive="$naive_best" -v need="$FAST_SPEEDUP" 'BEGIN {
+  printf "benchguard: fast    %.2f ns/cycle vs naive twin %.2f ns/cycle (%.2fx, need >=%.2fx)\n",
+    fast, naive, naive / fast, need
+  exit naive / fast >= need ? 0 : 1
 }' || fail=1
 
-if [ "$base_has_lanes" = 1 ] && [ -n "$base_lane_best" ]; then
-  awk -v cur="$lane_best" -v base="$base_lane_best" -v tol="$TOLERANCE" 'BEGIN {
-    limit = base * (1 + tol)
-    printf "benchguard: lanes   %.2f ns/lane-cycle vs baseline %.2f ns/lane-cycle (limit %.2f, %+.1f%%)\n",
-      cur, base, limit, 100 * (cur - base) / base
-    exit cur <= limit ? 0 : 1
-  }' || fail=1
-fi
+awk -v cur="$fast_best" -v base="$base_fast_best" -v tol="$TOLERANCE" 'BEGIN {
+  limit = base * (1 + tol)
+  printf "benchguard: fast    %.2f ns/cycle vs baseline %.2f ns/cycle (limit %.2f, %+.1f%%)\n",
+    cur, base, limit, 100 * (cur - base) / base
+  exit cur <= limit ? 0 : 1
+}' || fail=1
 
 awk -v warm="$warm_best" -v cold="$cold_best" -v need="$CACHE_SPEEDUP" 'BEGIN {
   printf "benchguard: cache   %.0f ns/sweep warm vs %.0f ns/sweep cold (%.1fx, need >=%.1fx)\n",
