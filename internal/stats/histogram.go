@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,10 +18,19 @@ type Histogram struct {
 	m2    float64
 	min   float64
 	max   float64
-	// buckets holds counts for sample value v in bucket
-	// floor(v * bucketsPerUnit); values beyond the range land in the
-	// overflow bucket.
-	buckets  map[int64]int64
+	// A sample v >= 0 lands in bucket floor(v * bucketsPerUnit); values
+	// beyond the range land in the overflow bucket. Buckets below
+	// len(dense) are counted in place, where latency mass sits; an
+	// occupied bucket at or above it is a sparse outlier kept in tail,
+	// so every walk over the buckets is ascending without a sort.
+	dense []int64
+	// tail holds the occupied buckets at or above len(dense) in
+	// ascending key order, split into blocks of at most 2*tailBlock so
+	// inserting an outlier moves a block, not the whole tail.
+	tail [][]bucket
+	// occupied counts the buckets with a nonzero count, dense and tail;
+	// it bounds len(dense) (see denseLimit).
+	occupied int64
 	overflow int64
 	// underflow counts negative samples. No latency metric on this
 	// simulator can legitimately be negative, so a nonzero underflow is
@@ -31,6 +41,9 @@ type Histogram struct {
 	underflow int64
 }
 
+// bucket is one occupied tail bucket.
+type bucket struct{ key, count int64 }
+
 // bucketsPerUnit gives 0.25-cycle latency resolution, ample for
 // cycles/word metrics.
 const bucketsPerUnit = 4
@@ -38,12 +51,24 @@ const bucketsPerUnit = 4
 // maxBucket bounds the bucket index; samples above land in overflow.
 const maxBucket = 1 << 20
 
+// The dense slice never grows past denseLimit(occupied): denseMin
+// counts for any histogram, denseRatio per occupied bucket beyond
+// that. A dense count costs 8 bytes, so the dense slice stays within
+// 32 bytes per occupied bucket (or 2 KB) and a tail entry costs 16,
+// however far out the outliers lie.
+const (
+	denseMin   = 256
+	denseRatio = 4
+	tailBlock  = 64
+)
+
+func denseLimit(occupied int64) int64 { return max(denseMin, denseRatio*occupied) }
+
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	return &Histogram{
-		min:     math.Inf(1),
-		max:     math.Inf(-1),
-		buckets: make(map[int64]int64),
+		min: math.Inf(1),
+		max: math.Inf(-1),
 	}
 }
 
@@ -66,12 +91,101 @@ func (h *Histogram) Add(v float64) {
 		h.underflow++
 		return
 	}
-	b := int64(v * bucketsPerUnit)
-	if b >= maxBucket {
+	// Range-check in float: converting a huge sample to int64 first
+	// would wrap it into a negative bucket.
+	if v >= maxBucket/bucketsPerUnit {
 		h.overflow++
 		return
 	}
-	h.buckets[b]++
+	k := int64(v * bucketsPerUnit)
+	if k < int64(len(h.dense)) {
+		if h.dense[k] == 0 {
+			h.occupied++
+		}
+		h.dense[k]++
+		return
+	}
+	h.addSparse(k)
+}
+
+// addSparse counts bucket k >= len(dense): it grows the dense slice
+// over k when the occupancy allows, and otherwise counts k in the tail.
+func (h *Histogram) addSparse(k int64) {
+	i, j, found := h.findTail(k)
+	if found {
+		h.tail[i][j].count++
+		return
+	}
+	h.occupied++
+	// Growing at least twofold keeps the copies amortized O(1) per
+	// bucket; a growth the occupancy does not allow yet waits in the
+	// tail.
+	if n := min(max(k+1, 2*int64(len(h.dense))), maxBucket); n <= denseLimit(h.occupied) {
+		h.growDense(n)
+		h.dense[k] = 1
+		return
+	}
+	if len(h.tail) == 0 {
+		h.tail = [][]bucket{{{k, 1}}}
+		return
+	}
+	blk := slices.Insert(h.tail[i], j, bucket{k, 1})
+	if len(blk) == 2*tailBlock {
+		hi := append([]bucket(nil), blk[tailBlock:]...)
+		blk = blk[:tailBlock]
+		h.tail = slices.Insert(h.tail, i+1, hi)
+	}
+	h.tail[i] = blk
+}
+
+// findTail locates key k in the tail: the block i and offset j that
+// hold it, or where to insert it when found is false.
+func (h *Histogram) findTail(k int64) (i, j int, found bool) {
+	if len(h.tail) == 0 {
+		return 0, 0, false
+	}
+	i = sort.Search(len(h.tail)-1, func(i int) bool {
+		blk := h.tail[i]
+		return blk[len(blk)-1].key >= k
+	})
+	blk := h.tail[i]
+	j = sort.Search(len(blk), func(j int) bool { return blk[j].key >= k })
+	return i, j, j < len(blk) && blk[j].key == k
+}
+
+// growDense widens the dense slice to n counts and moves the tail
+// buckets below n into it.
+func (h *Histogram) growDense(n int64) {
+	d := make([]int64, n)
+	copy(d, h.dense)
+	h.dense = d
+	drop := 0
+	for _, blk := range h.tail {
+		j := 0
+		for ; j < len(blk) && blk[j].key < n; j++ {
+			d[blk[j].key] = blk[j].count
+		}
+		if j < len(blk) {
+			h.tail[drop] = blk[j:]
+			break
+		}
+		drop++
+	}
+	h.tail = slices.Delete(h.tail, 0, drop)
+}
+
+// each calls fn for every occupied bucket in ascending key order.
+func (h *Histogram) each(fn func(key, count int64)) {
+	for k, c := range h.dense {
+		if c != 0 {
+			fn(int64(k), c)
+		}
+	}
+	for _, blk := range h.tail {
+		for _, b := range blk {
+			fn(b.key, b.count)
+		}
+	}
 }
 
 // Count returns the number of samples recorded.
@@ -121,37 +235,42 @@ func (h *Histogram) Max() float64 {
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1) at
 // the histogram's bucket resolution, or NaN when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	keys := make([]int64, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
+	var v [1]float64
+	h.quantiles([]float64{q}, v[:])
+	return v[0]
+}
+
+// quantiles sets out[i] to Quantile(qs[i]) in one ascending walk over
+// the buckets; qs must be ascending.
+func (h *Histogram) quantiles(qs, out []float64) {
+	next := 0
 	// Underflow samples sit below every bucket; counting them first
 	// keeps quantiles consistent with Count when negatives were fed.
 	acc := h.underflow
-	if acc > target {
-		return h.min
-	}
-	for _, k := range keys {
-		acc += h.buckets[k]
-		if acc > target {
-			return (float64(k) + 0.5) / bucketsPerUnit
+	// settle answers, with v, the pending quantiles whose rank lies
+	// within the acc samples walked so far (all of them when all is set).
+	settle := func(v float64, all bool) {
+		for ; next < len(qs); next++ {
+			switch q := qs[next]; {
+			case h.count == 0 || math.IsNaN(q):
+				out[next] = math.NaN()
+			case q <= 0:
+				out[next] = h.min
+			case q >= 1:
+				out[next] = h.max
+			case all || acc > min(int64(q*float64(h.count)), h.count-1):
+				out[next] = v
+			default:
+				return
+			}
 		}
 	}
-	return h.max
+	settle(h.min, false)
+	h.each(func(k, c int64) {
+		acc += c
+		settle((float64(k)+0.5)/bucketsPerUnit, false)
+	})
+	settle(h.max, true)
 }
 
 // EachBucket calls fn for every occupied bucket in ascending value
@@ -160,14 +279,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // cap. It is the batched export path the observability registry uses to
 // re-bin a completed run's latency distribution.
 func (h *Histogram) EachBucket(fn func(value float64, count int64)) {
-	keys := make([]int64, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		fn((float64(k)+0.5)/bucketsPerUnit, h.buckets[k])
-	}
+	h.each(func(k, c int64) {
+		fn((float64(k)+0.5)/bucketsPerUnit, c)
+	})
 	if h.overflow > 0 {
 		fn(float64(maxBucket)/bucketsPerUnit, h.overflow)
 	}
@@ -190,15 +304,10 @@ func (h *Histogram) fingerprint(x uint64) uint64 {
 		x = fnvMix(x, 0x756e646572) // "under" marker
 		x = fnvMix(x, uint64(h.underflow))
 	}
-	keys := make([]int64, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	h.each(func(k, c int64) {
 		x = fnvMix(x, uint64(k))
-		x = fnvMix(x, uint64(h.buckets[k]))
-	}
+		x = fnvMix(x, uint64(c))
+	})
 	return x
 }
 
@@ -228,7 +337,7 @@ func (h *Histogram) Sparkline(width int) string {
 	}
 	cols := make([]int64, width)
 	span := hi - lo
-	for k, c := range h.buckets {
+	h.each(func(k, c int64) {
 		col := int((k - lo) * int64(width) / span)
 		if col < 0 {
 			col = 0
@@ -237,7 +346,7 @@ func (h *Histogram) Sparkline(width int) string {
 			col = width - 1
 		}
 		cols[col] += c
-	}
+	})
 	var peak int64
 	for _, c := range cols {
 		if c > peak {

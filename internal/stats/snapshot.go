@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Snapshot format: a versioned, canonical binary encoding of a finished
@@ -15,7 +14,10 @@ import (
 // little-endian, floats are stored as their IEEE-754 bit patterns (so
 // Welford accumulators and ±Inf extrema survive exactly), histogram
 // buckets are emitted in ascending key order, and the encoding ends with
-// the collector's Fingerprint. DecodeSnapshot recomputes the fingerprint
+// the collector's Fingerprint. Ascending is the order Histogram stores
+// its buckets in (a dense prefix, then the sorted tail), so the encoder
+// walks the storage without sorting and the decoder fills it in the
+// order the keys arrive. DecodeSnapshot recomputes the fingerprint
 // from the reconstructed state and rejects any mismatch, so a corrupted
 // snapshot can never decode into a silently wrong result.
 //
@@ -65,7 +67,13 @@ var (
 // result cache (and its CI smoke tests) compare cold and warm runs by
 // byte equality.
 func (c *Collector) EncodeSnapshot() []byte {
-	buf := make([]byte, 0, 256+64*c.n)
+	// Exact size: header, trailer, and per master 17 counters, 8
+	// histogram words and 16 bytes per occupied bucket.
+	size := len(snapshotMagic) + 1 + 3*8 + 2*8
+	for _, h := range c.hist {
+		size += (17+8)*8 + 16*int(h.occupied)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, snapshotMagic...)
 	buf = append(buf, SnapshotVersion)
 	buf = appendU64(buf, uint64(c.n))
@@ -107,7 +115,7 @@ func fnvBytes(b []byte) uint64 {
 
 // appendSnapshot appends the histogram's canonical encoding: fixed
 // scalars (floats as bit patterns) followed by the occupied buckets in
-// ascending key order.
+// ascending key order, the order the bucket storage walks in.
 func (h *Histogram) appendSnapshot(buf []byte) []byte {
 	buf = appendU64(buf, uint64(h.count))
 	buf = appendU64(buf, math.Float64bits(h.mean))
@@ -116,16 +124,11 @@ func (h *Histogram) appendSnapshot(buf []byte) []byte {
 	buf = appendU64(buf, math.Float64bits(h.max))
 	buf = appendU64(buf, uint64(h.overflow))
 	buf = appendU64(buf, uint64(h.underflow))
-	keys := make([]int64, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf = appendU64(buf, uint64(len(keys)))
-	for _, k := range keys {
+	buf = appendU64(buf, uint64(h.occupied))
+	h.each(func(k, c int64) {
 		buf = appendU64(buf, uint64(k))
-		buf = appendU64(buf, uint64(h.buckets[k]))
-	}
+		buf = appendU64(buf, uint64(c))
+	})
 	return buf
 }
 
@@ -264,24 +267,45 @@ func (d *snapDecoder) histogram(h *Histogram) error {
 	if nb > uint64(len(d.buf)-d.off)/16 {
 		return fmt.Errorf("%w: bucket count %d exceeds remaining data", ErrSnapshotCorrupt, nb)
 	}
+	pairs, err := d.bytes(int(16 * nb))
+	if err != nil {
+		return err
+	}
+	bucketAt := func(i int) (k, v int64) {
+		return int64(binary.LittleEndian.Uint64(pairs[16*i:])), int64(binary.LittleEndian.Uint64(pairs[16*i+8:]))
+	}
+	// First pass: validate, and find the dense length the occupancy
+	// allows — keys arrive ascending, so the dense buckets are a prefix.
+	nDense, lim := 0, denseLimit(int64(nb))
 	prev := int64(-1)
-	for i := uint64(0); i < nb; i++ {
-		k, err := d.i64()
-		if err != nil {
-			return err
-		}
-		v, err := d.i64()
-		if err != nil {
-			return err
-		}
+	for i := 0; i < int(nb); i++ {
+		k, v := bucketAt(i)
 		if k <= prev || k >= maxBucket {
 			return fmt.Errorf("%w: bucket key %d out of order or range", ErrSnapshotCorrupt, k)
 		}
 		if v <= 0 {
 			return fmt.Errorf("%w: bucket count %d not positive", ErrSnapshotCorrupt, v)
 		}
-		h.buckets[k] = v
+		if k < lim {
+			nDense = i + 1
+		}
 		prev = k
+	}
+	h.occupied = int64(nb)
+	if nDense > 0 {
+		last, _ := bucketAt(nDense - 1)
+		h.dense = make([]int64, last+1)
+	}
+	for i := 0; i < nDense; i++ {
+		k, v := bucketAt(i)
+		h.dense[k] = v
+	}
+	for i := nDense; i < int(nb); i += tailBlock {
+		blk := make([]bucket, min(tailBlock, int(nb)-i))
+		for j := range blk {
+			blk[j].key, blk[j].count = bucketAt(i + j)
+		}
+		h.tail = append(h.tail, blk)
 	}
 	return nil
 }

@@ -15,22 +15,13 @@ import (
 func snapCollector(n int, faults, negative bool) *Collector {
 	c := NewCollector(n)
 	c.AdvanceCycles(int64(5000 * n))
-	s := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		s = s*6364136223846793005 + 1442695040888963407
-		return s >> 33
-	}
+	snapMessages(n, func(m, words int, arrival, start, completion int64) {
+		c.Granted(m)
+		c.MessageStarted(m, arrival, start)
+		c.WordsTransferred(m, int64(words))
+		c.MessageCompleted(m, words, arrival, completion)
+	})
 	for m := 0; m < n; m++ {
-		for k := 0; k < 40+m; k++ {
-			words := int(next()%32) + 1
-			arrival := int64(next() % 4000)
-			start := arrival + int64(next()%100)
-			completion := start + int64(words) + int64(next()%50)
-			c.Granted(m)
-			c.MessageStarted(m, arrival, start)
-			c.WordsTransferred(m, int64(words))
-			c.MessageCompleted(m, words, arrival, completion)
-		}
 		c.ControlCycle(m)
 		c.MessageDropped(m)
 		// Push one sample into the overflow bucket.
@@ -49,6 +40,25 @@ func snapCollector(n int, faults, negative bool) *Collector {
 		}
 	}
 	return c
+}
+
+// snapMessages calls fn for each of snapCollector's messages: 40+m
+// for master m, in master order.
+func snapMessages(n int, fn func(m, words int, arrival, start, completion int64)) {
+	s := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return s >> 33
+	}
+	for m := 0; m < n; m++ {
+		for k := 0; k < 40+m; k++ {
+			words := int(next()%32) + 1
+			arrival := int64(next() % 4000)
+			start := arrival + int64(next()%100)
+			completion := start + int64(words) + int64(next()%50)
+			fn(m, words, arrival, start, completion)
+		}
+	}
 }
 
 func snapVariants() map[string]*Collector {
@@ -151,9 +161,16 @@ func TestSnapshotCorruption(t *testing.T) {
 // FuzzDecodeSnapshot fuzzes the decoder: it must never panic, and any
 // input it accepts must re-encode to exactly the input bytes (the
 // encoding is canonical, so decode∘encode is the identity on valid
-// snapshots).
+// snapshots) and answer every histogram query without panicking.
 func FuzzDecodeSnapshot(f *testing.F) {
+	edge := NewCollector(1)
+	edge.hist[0].Add(0)
+	edge.hist[0].Add((maxBucket - 1) / bucketsPerUnit)
+	seeds := []*Collector{serveJobCollector(), edge}
 	for _, c := range snapVariants() {
+		seeds = append(seeds, c)
+	}
+	for _, c := range seeds {
 		enc := c.EncodeSnapshot()
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -172,6 +189,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(c.EncodeSnapshot(), data) {
 			t.Fatalf("accepted snapshot does not re-encode to itself")
+		}
+		for m := 0; m < c.N(); m++ {
+			h := c.LatencyHistogram(m)
+			for _, q := range []float64{0, 0.5, 0.99, 1} {
+				h.Quantile(q)
+			}
+			c.LatencyDist(m)
+			h.EachBucket(func(float64, int64) {})
+			h.Sparkline(16)
 		}
 	})
 }

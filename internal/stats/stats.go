@@ -337,12 +337,14 @@ type Dist struct {
 // LatencyDist summarizes master m's per-word latency histogram.
 func (c *Collector) LatencyDist(m int) Dist {
 	h := c.hist[m]
+	var p [3]float64
+	h.quantiles([]float64{0.50, 0.95, 0.99}, p[:])
 	return Dist{
 		Count: h.Count(),
 		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		P50:   p[0],
+		P95:   p[1],
+		P99:   p[2],
 		Max:   h.Max(),
 	}
 }

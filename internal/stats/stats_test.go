@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -258,6 +260,38 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if h.Max() != 1e9 {
 		t.Fatal("overflow sample lost from max")
+	}
+}
+
+// TestHistogramHugeSamplesOverflow is the regression test for samples
+// whose bucket index does not fit an int64: Add used to convert before
+// range-checking, so +Inf or 3e18 landed in bucket math.MinInt64, a
+// quantile came out near -2.3e18 and the collector's own snapshot failed
+// to decode. They must count as overflow like any other sample beyond
+// the range.
+func TestHistogramHugeSamplesOverflow(t *testing.T) {
+	c := NewCollector(1)
+	h := c.hist[0]
+	for _, v := range []float64{2, 3, math.Inf(1), 3e18, 5} {
+		h.Add(v)
+	}
+	var got []float64
+	h.EachBucket(func(v float64, n int64) { got = append(got, v, float64(n)) })
+	if want := []float64{2.125, 1, 3.125, 1, 5.125, 1, maxBucket / bucketsPerUnit, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets (value, count...) %v, want %v", got, want)
+	}
+	for _, q := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
+		if v := h.Quantile(q); !(v >= h.Min() && v <= h.Max()) {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v]", q, v, h.Min(), h.Max())
+		}
+	}
+	enc := c.EncodeSnapshot()
+	dec, err := DecodeSnapshot(enc)
+	if err != nil {
+		t.Fatalf("snapshot of a collector with huge samples: %v", err)
+	}
+	if !bytes.Equal(dec.EncodeSnapshot(), enc) {
+		t.Fatal("re-encoded snapshot differs from original")
 	}
 }
 
