@@ -88,6 +88,10 @@ func realMain() (code int) {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ on the -listen endpoint")
 	flag.Parse()
+	if *replicate < 0 {
+		fmt.Fprintf(os.Stderr, "lotterysim: -replicate %d: need at least one replica (0 means 1)\n", *replicate)
+		return 2
+	}
 
 	if *sample {
 		enc := json.NewEncoder(os.Stdout)
@@ -128,6 +132,9 @@ func realMain() (code int) {
 	if tracing && n > 1 {
 		fmt.Fprintln(os.Stderr, "lotterysim: -vcd and -waveform require -replicate 1")
 		return 1
+	}
+	if err := cfg.CheckReplicas(n); err != nil {
+		return fail(err)
 	}
 
 	var j *obs.Journal
@@ -173,7 +180,7 @@ func realMain() (code int) {
 
 	// The run context carries the -deadline budget. With no deadline the
 	// context has no Done channel and RunContext degenerates to Run —
-	// the hot loop is untouched (see runChunked).
+	// the hot loop is untouched (see System.RunContext).
 	runCtx := context.Background()
 	if *deadline > 0 {
 		var cancelRun context.CancelFunc
@@ -196,7 +203,7 @@ func realMain() (code int) {
 		}
 	}
 
-	reps, err := cfg.BuildReplicas()
+	reps, err := cfg.BuildReplicas(n)
 	if err != nil {
 		return fail(err)
 	}
@@ -219,10 +226,10 @@ func realMain() (code int) {
 	var traced *lotterybus.System
 	var miss []int
 	for i := range n {
-		c := *cfg
-		c.Seed = cfg.Seed + uint64(i)
-		if keys[i], err = replicaKey(resultCache, &c); err != nil {
-			return fail(err)
+		if resultCache != nil { // without a cache the key is unused
+			if keys[i], err = reps.Key(i); err != nil {
+				return fail(err)
+			}
 		}
 		var col *stats.Collector
 		if !tracing && !*audit {
@@ -303,20 +310,6 @@ func deadlineExit(j *obs.Journal, d time.Duration, err error) (int, bool) {
 	j.Emit("deadline_exceeded", map[string]any{"deadline": d.String()})
 	fmt.Fprintf(os.Stderr, "lotterysim: wall-clock deadline %s exceeded; partial run, nothing cached for unfinished replicas\n", d)
 	return 3, true
-}
-
-// replicaKey derives one replica's cache key from its canonical
-// effective configuration (which embeds the replica's seed). With no
-// cache configured the key is unused; skip the work.
-func replicaKey(rc *cache.Cache, c *simcfg.SimConfig) (cache.Key, error) {
-	if rc == nil {
-		return cache.Key{}, nil
-	}
-	canon, err := c.Canonical()
-	if err != nil {
-		return cache.Key{}, err
-	}
-	return cache.KeyOf(canon, c.Seed, ""), nil
 }
 
 // finishRun records the cache outcome in the registry and on stderr,

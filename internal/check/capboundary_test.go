@@ -61,20 +61,22 @@ func capBusAt(n int, disableFastForward bool) error {
 	return b.Run(1)
 }
 
-// capLanesAt builds and runs a one-cycle n-master replica set of two
-// lanes (lotterybus.ReplicaSet, one System per lane).
+// capLanesAt builds two n-master Systems at seeds 1 and 2 and runs
+// them for one cycle as a lotterybus.ReplicaSet.
 func capLanesAt(n int) error {
-	rs := lotterybus.NewReplicaSet(lotterybus.Config{Seed: 1, MaxBurst: 16}, 2)
-	rs.AddSlave("mem", 0)
-	for i := 0; i < n; i++ {
-		rs.AddMaster(fmt.Sprintf("m%d", i), 1, func(int) (lotterybus.Generator, error) {
-			return lotterybus.SaturatingTraffic(1, 0), nil
-		})
+	systems := make([]*lotterybus.System, 2)
+	for l := range systems {
+		sys := lotterybus.NewSystem(lotterybus.Config{Seed: 1 + uint64(l), MaxBurst: 16})
+		sys.AddSlave("mem", 0)
+		for i := 0; i < n; i++ {
+			sys.AddMaster(fmt.Sprintf("m%d", i), 1, lotterybus.SaturatingTraffic(1, 0))
+		}
+		if err := sys.UseRoundRobin(); err != nil {
+			return err
+		}
+		systems[l] = sys
 	}
-	if err := rs.UseRoundRobin(); err != nil {
-		return err
-	}
-	return rs.Run(1)
+	return lotterybus.NewReplicaSet(systems...).Run(1)
 }
 
 // TestMaxMastersCapConsistent asserts every layer accepts exactly

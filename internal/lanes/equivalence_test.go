@@ -1,13 +1,13 @@
 // Package lanes_test is the replica-lane equivalence suite. It holds no
-// code of its own: seed-replicas ("lanes") are independent bus.Bus
-// instances that lotterybus.ReplicaSet and simcfg.Replicas run across
-// workers on bus.Run's fast-forward kernel. The suite's claim
-// is bit-identity: lane l, run on the kernel, produces exactly the
-// collector fingerprint, queues, drops and slave words of the naive
-// per-cycle loop built from the same configuration with lane l's
-// generator seeds. It is proved over the 6-config x 9-arbiter x
-// 6-traffic verification grid plus a saturating class, under chunked
-// Runs and any worker count.
+// code of its own: seed-replicas ("lanes") are Systems built by simcfg
+// at seed+l, each an independent bus.Bus that lotterybus.ReplicaSet or
+// simcfg.Replicas runs on a worker on bus.Run's fast-forward kernel.
+// The suite's claim is bit-identity: lane l, run on the kernel,
+// produces exactly the collector fingerprint, queues, drops and slave
+// words of the naive per-cycle loop built from the same configuration
+// with lane l's generator seeds. It is proved over the 6-config x
+// 9-arbiter x 6-traffic verification grid plus a saturating class,
+// under chunked Runs and any worker count.
 package lanes_test
 
 import (

@@ -191,6 +191,9 @@ func ParseJob(r io.Reader, limits Limits) (*Job, error) {
 	if cfg.Cycles > limits.MaxCycles {
 		return nil, fmt.Errorf("job: cycles %d exceeds server limit %d", cfg.Cycles, limits.MaxCycles)
 	}
+	if err := cfg.CheckReplicas(replicate); err != nil {
+		return nil, fmt.Errorf("job: %w", err)
+	}
 	canonical, err := cfg.Canonical()
 	if err != nil {
 		return nil, fmt.Errorf("job: %w", err)

@@ -218,11 +218,11 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	if s.execHook != nil {
 		return s.execHook(ctx, job)
 	}
-	reps, err := job.cfg.BuildReplicas()
+	n := job.Replicate
+	reps, err := job.cfg.BuildReplicas(n)
 	if err != nil {
 		return err
 	}
-	n := job.Replicate
 	results := make([]ReplicaResult, n)
 	tracks := make([]*obs.Span, n)
 	keys := make([]cache.Key, n)
@@ -234,13 +234,9 @@ func (s *Server) execute(ctx context.Context, job *Job) error {
 	var miss []int
 	for i := range n {
 		tracks[i] = job.trace.StartTrack(fmt.Sprintf("replica %d", i), nil, i+1)
-		c := *job.cfg
-		c.Seed = job.cfg.Seed + uint64(i)
-		canon, err := c.Canonical()
-		if err != nil {
+		if keys[i], err = reps.Key(i); err != nil {
 			return err
 		}
-		keys[i] = cache.KeyOf(canon, c.Seed, "")
 		probe := job.trace.StartTrack("cache_probe", tracks[i], i+1)
 		col, src, ok := s.cache.Get(keys[i])
 		probe.Arg("hit", ok).End()

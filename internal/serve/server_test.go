@@ -32,6 +32,10 @@ const testConfig = `{
   ]
 }`
 
+// seedZeroConfig is testConfig at seed 0, where several replicas would
+// share an arbiter stream.
+var seedZeroConfig = strings.Replace(testConfig, `"seed": 7`, `"seed": 0`, 1)
+
 func submitBody(client string, replicate int) string {
 	return fmt.Sprintf(`{"client":%q,"replicate":%d,"config":%s}`, client, replicate, testConfig)
 }
@@ -304,12 +308,13 @@ func TestStreamReplaysAndFollows(t *testing.T) {
 func TestRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Jobs: 1})
 	for name, body := range map[string]string{
-		"not json":      "{",
-		"unknown field": `{"clientzz":"x","config":` + testConfig + `}`,
-		"no config":     `{"client":"x"}`,
-		"bad client":    `{"client":"../../etc","config":` + testConfig + `}`,
-		"replicate":     `{"replicate":10000,"config":` + testConfig + `}`,
-		"lanes field":   `{"lanes":true,"config":` + testConfig + `}`,
+		"not json":        "{",
+		"unknown field":   `{"clientzz":"x","config":` + testConfig + `}`,
+		"no config":       `{"client":"x"}`,
+		"bad client":      `{"client":"../../etc","config":` + testConfig + `}`,
+		"replicate":       `{"replicate":10000,"config":` + testConfig + `}`,
+		"lanes field":     `{"lanes":true,"config":` + testConfig + `}`,
+		"seed 0 replicas": `{"replicate":2,"config":` + seedZeroConfig + `}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

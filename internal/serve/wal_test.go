@@ -91,6 +91,27 @@ func TestWALAcceptWithLanesRecovers(t *testing.T) {
 	}
 }
 
+// TestWALSeedZeroReplicasFails replays an accept record written before
+// seed 0 with several replicas was rejected at submit: the recovered job
+// fails with the seed rule's reason instead of running colliding
+// replicas or stopping the server.
+func TestWALSeedZeroReplicasFails(t *testing.T) {
+	job, err := ParseJob(strings.NewReader(`{"client":"a","config":`+seedZeroConfig+`}`), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	line := fmt.Sprintf(`{"op":"accept","id":"j1","client":"a","replicate":2,"config":%s}`+"\n", job.Canonical)
+	if err := os.WriteFile(filepath.Join(dataDir, "jobs.wal"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{DataDir: dataDir, Jobs: 1})
+	got := waitTerminal(t, ts, "j1", 10*time.Second)
+	if got.State != StateFailed || !strings.Contains(got.Reason, "seed") {
+		t.Fatalf("recovered seed-0 job %s (%q), want failed with the seed rule", got.State, got.Reason)
+	}
+}
+
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "jobs.wal")

@@ -1,7 +1,7 @@
 // Package simcfg is the JSON schema of a simulation run: the SimConfig
 // structure, its strict parser/validator, the canonical effective-form
 // serialization that result-cache keys and journal provenance hash, and
-// the builders that turn a config into a live System or ReplicaSet.
+// the builders that turn a config into live Systems, one per seed-replica.
 //
 // It started life inside cmd/lotterysim; the simulation job server
 // (internal/serve) accepts the same schema over HTTP, so the config
@@ -190,32 +190,22 @@ func (cfg *SimConfig) Build() (*lotterybus.System, error) {
 	return sys, cfg.useArbiter(sys)
 }
 
-// BuildReplicaSet constructs `replicas` seed-replicas of the system as
-// one ReplicaSet: replica i is bit-identical to Build() on a copy of the
-// config with Seed+i — traffic streams are seeded from cfg.Seed+i
-// exactly as Build seeds them, and the Use* selectors derive replica
-// i's arbiter stream from Seed+i.
-//
-// Fault injection is rejected: a ReplicaSet has no fault model. Seed 0
-// is rejected too: Build promotes a zero system seed to 1 per replica,
-// which collides replica 0's and replica 1's arbiter streams — a
-// degenerate shape the replica set will not reproduce.
-func (cfg *SimConfig) BuildReplicaSet(replicas int) (*lotterybus.ReplicaSet, error) {
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("a replica set has no fault injection; Build each faulted replica")
+// BuildReplicaSet builds n seed-replicas of the system — replica i is
+// Build() of the config at Seed+i — and hands them to a ReplicaSet.
+func (cfg *SimConfig) BuildReplicaSet(n int) (*lotterybus.ReplicaSet, error) {
+	if err := cfg.CheckReplicas(n); err != nil {
+		return nil, err
 	}
-	if cfg.Seed == 0 {
-		return nil, fmt.Errorf("a replica set needs a positive seed (seed 0 collides replica arbiter streams)")
+	systems := make([]*lotterybus.System, n)
+	for i := range systems {
+		c := cfg.replica(i)
+		sys, err := c.Build()
+		if err != nil {
+			return nil, err
+		}
+		systems[i] = sys
 	}
-	rs := lotterybus.NewReplicaSet(cfg.busConfig(), replicas)
-	cfg.addSlaves(rs)
-	for i, m := range cfg.Masters {
-		i, m := i, m
-		rs.AddMaster(m.Name, m.Weight, func(replica int) (lotterybus.Generator, error) {
-			return m.Traffic.build(i, cfg.Seed+uint64(replica))
-		})
-	}
-	return rs, cfg.useArbiter(rs)
+	return lotterybus.NewReplicaSet(systems...), nil
 }
 
 // perCycleHooks reports whether the config arms machinery that runs
@@ -226,7 +216,7 @@ func (cfg *SimConfig) perCycleHooks() bool {
 	return cfg.Faults != nil || r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0)
 }
 
-// busConfig is the lotterybus.Config Build and BuildReplicaSet share.
+// busConfig is the lotterybus.Config Build gives its System.
 func (cfg *SimConfig) busConfig() lotterybus.Config {
 	c := lotterybus.Config{
 		MaxBurst:   cfg.MaxBurst,
@@ -242,53 +232,40 @@ func (cfg *SimConfig) busConfig() lotterybus.Config {
 	return c
 }
 
-// fabric is the construction surface System and ReplicaSet share.
-type fabric interface {
-	AddSlave(name string, waitStates int) int
-	AddSplitSlave(name string, latency int) int
-	UseLottery() error
-	UseDynamicLottery() error
-	UseCompensatedLottery() error
-	UsePriority() error
-	UseTDMA(slotsPerWeight int, twoLevel bool) error
-	UseRoundRobin() error
-	UseTokenRing() error
-}
-
 // addSlaves attaches the configured slaves in index order.
-func (cfg *SimConfig) addSlaves(f fabric) {
+func (cfg *SimConfig) addSlaves(sys *lotterybus.System) {
 	for _, s := range cfg.Slaves {
 		if s.SplitLatency > 0 {
-			f.AddSplitSlave(s.Name, s.SplitLatency)
+			sys.AddSplitSlave(s.Name, s.SplitLatency)
 		} else {
-			f.AddSlave(s.Name, s.WaitStates)
+			sys.AddSlave(s.Name, s.WaitStates)
 		}
 	}
 }
 
 // useArbiter selects the configured arbitration scheme.
-func (cfg *SimConfig) useArbiter(f fabric) error {
+func (cfg *SimConfig) useArbiter(sys *lotterybus.System) error {
 	spw := cfg.Arbiter.SlotsPerWeight
 	if spw == 0 {
 		spw = 16
 	}
 	switch cfg.Arbiter.Kind {
 	case "lottery", "":
-		return f.UseLottery()
+		return sys.UseLottery()
 	case "dynamic-lottery":
-		return f.UseDynamicLottery()
+		return sys.UseDynamicLottery()
 	case "compensated-lottery":
-		return f.UseCompensatedLottery()
+		return sys.UseCompensatedLottery()
 	case "priority":
-		return f.UsePriority()
+		return sys.UsePriority()
 	case "tdma":
-		return f.UseTDMA(spw, true)
+		return sys.UseTDMA(spw, true)
 	case "tdma1":
-		return f.UseTDMA(spw, false)
+		return sys.UseTDMA(spw, false)
 	case "round-robin":
-		return f.UseRoundRobin()
+		return sys.UseRoundRobin()
 	case "token-ring":
-		return f.UseTokenRing()
+		return sys.UseTokenRing()
 	default:
 		return fmt.Errorf("unknown arbiter kind %q", cfg.Arbiter.Kind)
 	}

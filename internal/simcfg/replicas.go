@@ -2,8 +2,10 @@ package simcfg
 
 import (
 	"context"
+	"fmt"
 
 	"lotterybus"
+	"lotterybus/internal/cache"
 	"lotterybus/internal/obs"
 	"lotterybus/internal/runner"
 	"lotterybus/internal/stats"
@@ -21,8 +23,32 @@ type Replicas struct {
 	proto *lotterybus.System // replica 0, never run: renders any replica's report
 }
 
-// BuildReplicas returns the config's seed-replicas.
-func (cfg *SimConfig) BuildReplicas() (*Replicas, error) {
+// CheckReplicas is the one rule every front end applies to a replica
+// count: at least one replica, and a positive seed when there are
+// several. Seed 0 is promoted to 1 for the arbiter stream, so replica 0
+// (seed 0) and replica 1 (seed 1) would draw the same lotteries.
+func (cfg *SimConfig) CheckReplicas(n int) error {
+	if n < 1 {
+		return fmt.Errorf("%d replicas: need at least one", n)
+	}
+	if n > 1 && cfg.Seed == 0 {
+		return fmt.Errorf("a replica set needs a positive seed (seed 0 collides replica arbiter streams)")
+	}
+	return nil
+}
+
+// replica returns replica i's config: the config at Seed+i.
+func (cfg *SimConfig) replica(i int) SimConfig {
+	c := *cfg
+	c.Seed += uint64(i)
+	return c
+}
+
+// BuildReplicas returns the config's n seed-replicas (see CheckReplicas).
+func (cfg *SimConfig) BuildReplicas(n int) (*Replicas, error) {
+	if err := cfg.CheckReplicas(n); err != nil {
+		return nil, err
+	}
 	// Reports depend on names, weights and the arbiter kind, never on
 	// the seed, so one unrun System renders every replica's report —
 	// also for a fully cached run that never simulates.
@@ -31,6 +57,17 @@ func (cfg *SimConfig) BuildReplicas() (*Replicas, error) {
 		return nil, err
 	}
 	return &Replicas{cfg: *cfg, proto: proto}, nil
+}
+
+// Key returns replica i's result-cache key: the digest of its canonical
+// effective configuration, which embeds the replica's seed.
+func (r *Replicas) Key(i int) (cache.Key, error) {
+	c := r.cfg.replica(i)
+	canon, err := c.Canonical()
+	if err != nil {
+		return cache.Key{}, err
+	}
+	return cache.KeyOf(canon, c.Seed, ""), nil
 }
 
 // A Sim is one replica's simulation: the config at Seed+Replica.
@@ -58,8 +95,7 @@ func (r *Replicas) Simulate(ctx context.Context, miss []int, workers int, sim fu
 		return nil
 	}
 	_, err := runner.MapCtx(ctx, workers, len(miss), func(k int) (struct{}, error) {
-		c := r.cfg
-		c.Seed += uint64(miss[k])
+		c := r.cfg.replica(miss[k])
 		sys, err := c.Build()
 		if err != nil {
 			return struct{}{}, err

@@ -9,14 +9,13 @@ import (
 
 	"lotterybus"
 	"lotterybus/internal/analytic"
+	"lotterybus/internal/cache"
 )
 
 // TestBuildReplicaSetMatchesScalarReplicas pins the replica set's
-// contract: for every arbiter kind, replica i of BuildReplicaSet reports
-// exactly what Build reports for the same config at Seed+i. Reports are
-// compared as rendered strings, which also equates
-// the NaN latency fields of starved masters (priority starves the
-// periodic master; NaN != NaN would break struct comparison).
+// contract: for every arbiter kind, replica i of BuildReplicaSet
+// fingerprints exactly as Build does for the same config at Seed+i, and
+// passes the full audit.
 func TestBuildReplicaSetMatchesScalarReplicas(t *testing.T) {
 	const replicas, cycles = 3, 10000
 	for _, kind := range []string{"lottery", "dynamic-lottery", "compensated-lottery", "priority", "tdma", "tdma1", "round-robin", "token-ring"} {
@@ -40,9 +39,8 @@ func TestBuildReplicaSetMatchesScalarReplicas(t *testing.T) {
 			if err := sys.Run(c.Cycles); err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
-			got, want := rs.Report(i).String(), sys.Report().String()
-			if got != want {
-				t.Errorf("%s replica %d diverges from Build\nreplica set:\n%s\nBuild:\n%s", kind, i, got, want)
+			if got, want := rs.Collector(i).Fingerprint(), sys.Collector().Fingerprint(); got != want {
+				t.Errorf("%s replica %d: fingerprint %016x, Build() at Seed+%d %016x", kind, i, got, i, want)
 			}
 			if viol := rs.CheckInvariants(i); len(viol) != 0 {
 				t.Errorf("%s replica %d: %s", kind, i, strings.Join(viol, "; "))
@@ -56,28 +54,42 @@ func TestBuildReplicaSetMatchesScalarReplicas(t *testing.T) {
 // per missed replica, replica i fingerprints exactly as Build() at
 // Seed+i — also when only some replicas miss — and the config alone
 // selects the engine: a replica fast-forwards unless faults, the split
-// watchdog or the starvation detector need the per-cycle loop.
+// watchdog or the starvation detector need the per-cycle loop. Seed 0
+// runs as a single replica; several are rejected.
 func TestEngineSelection(t *testing.T) {
+	several := [][]int{{0, 1, 2}, {1, 3}}
 	for _, tc := range []struct {
-		name string
-		edit func(*SimConfig)
-		fast bool
+		name   string
+		edit   func(*SimConfig)
+		fast   bool
+		misses [][]int
 	}{
-		{"sample", func(*SimConfig) {}, true},
-		{"faults", func(c *SimConfig) { c.Faults = &lotterybus.FaultConfig{SlaveError: 0.01} }, false},
-		{"splitTimeout", func(c *SimConfig) { c.Resilience = &ResilienceConfig{SplitTimeout: 500} }, false},
-		{"starvationThreshold", func(c *SimConfig) { c.Resilience = &ResilienceConfig{StarvationThreshold: 200} }, false},
-		{"seed 0", func(c *SimConfig) { c.Seed = 0 }, true},
-		{"retry knobs only", func(c *SimConfig) { c.Resilience = &ResilienceConfig{RetryLimit: 4, RetryBackoff: 2} }, true},
+		{"sample", func(*SimConfig) {}, true, several},
+		{"faults", func(c *SimConfig) { c.Faults = &lotterybus.FaultConfig{SlaveError: 0.01} }, false, several},
+		{"splitTimeout", func(c *SimConfig) { c.Resilience = &ResilienceConfig{SplitTimeout: 500} }, false, several},
+		{"starvationThreshold", func(c *SimConfig) { c.Resilience = &ResilienceConfig{StarvationThreshold: 200} }, false, several},
+		{"seed 0", func(c *SimConfig) { c.Seed = 0 }, true, [][]int{{0}}},
+		{"retry knobs only", func(c *SimConfig) { c.Resilience = &ResilienceConfig{RetryLimit: 4, RetryBackoff: 2} }, true, several},
 	} {
 		cfg := SampleConfig()
 		cfg.Cycles = 20000
 		tc.edit(cfg)
-		reps, err := cfg.BuildReplicas()
+		n := 0 // enough replicas for every miss list
+		for _, miss := range tc.misses {
+			for _, i := range miss {
+				n = max(n, i+1)
+			}
+		}
+		reps, err := cfg.BuildReplicas(n)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, miss := range [][]int{{0, 1, 2}, {1, 3}} {
+		if cfg.Seed == 0 {
+			if _, err := cfg.BuildReplicas(3); err == nil || !strings.Contains(err.Error(), "seed") {
+				t.Errorf("%s: BuildReplicas(3) error %v, want seed rejection", tc.name, err)
+			}
+		}
+		for _, miss := range tc.misses {
 			got := map[int]uint64{}
 			var mu sync.Mutex
 			err = reps.Simulate(context.Background(), miss, 2, func(sim *Sim) error {
@@ -126,13 +138,13 @@ func TestEngineSelection(t *testing.T) {
 func TestSimulateBoundsLaneBatches(t *testing.T) {
 	cfg := SampleConfig()
 	cfg.Cycles = 2000
-	reps, err := cfg.BuildReplicas()
-	if err != nil {
-		t.Fatal(err)
-	}
 	miss := []int{3}
 	for i := 10; i < 10+256+5; i++ {
 		miss = append(miss, i)
+	}
+	reps, err := cfg.BuildReplicas(miss[len(miss)-1] + 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var order []int
 	got := map[int]uint64{}
@@ -171,20 +183,48 @@ func TestSimulateBoundsLaneBatches(t *testing.T) {
 	}
 }
 
-// TestBuildReplicaSetRejects pins the clear-error contract for configs
-// a replica set cannot reproduce, and that per-cycle machinery is not
-// among them.
+// TestReplicaKey pins replica i's cache key to the digest of the config
+// at Seed+i, the key every result cache written so far was filled under.
+func TestReplicaKey(t *testing.T) {
+	cfg := SampleConfig()
+	reps, err := cfg.BuildReplicas(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[cache.Key]int{}
+	for i := 0; i < 3; i++ {
+		got, err := reps.Key(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := *cfg
+		c.Seed = cfg.Seed + uint64(i)
+		canon, err := c.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cache.KeyOf(canon, c.Seed, ""); got != want {
+			t.Errorf("replica %d: key %s, want %s", i, got, want)
+		}
+		if j, dup := seen[got]; dup {
+			t.Errorf("replicas %d and %d share key %s", j, i, got)
+		}
+		seen[got] = i
+	}
+}
+
+// TestBuildReplicaSetRejects pins the clear-error contract for replica
+// counts the seed rule refuses and for configs Build refuses, and that
+// faults and per-cycle machinery are not among them: replica 1 of such a
+// set is Build() at Seed+1.
 func TestBuildReplicaSetRejects(t *testing.T) {
 	cfg := SampleConfig()
-	cfg.Faults = &lotterybus.FaultConfig{SlaveError: 0.01}
-	if _, err := cfg.BuildReplicaSet(2); err == nil || !strings.Contains(err.Error(), "fault") {
-		t.Errorf("faulted config: error %v, want fault-injection rejection", err)
-	}
-
-	cfg = SampleConfig()
 	cfg.Seed = 0
 	if _, err := cfg.BuildReplicaSet(2); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed 0: error %v, want seed rejection", err)
+	}
+	if _, err := SampleConfig().BuildReplicaSet(0); err == nil {
+		t.Error("zero replicas accepted")
 	}
 
 	cfg = SampleConfig()
@@ -193,28 +233,32 @@ func TestBuildReplicaSetRejects(t *testing.T) {
 		t.Error("unknown arbiter accepted")
 	}
 
-	// Watchdog/starvation configs run, replica by replica as Build.
-	cfg = SampleConfig()
-	cfg.Cycles = 5000
-	cfg.Resilience = &ResilienceConfig{SplitTimeout: 500, StarvationThreshold: 200}
-	rs, err := cfg.BuildReplicaSet(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Run(cfg.Cycles); err != nil {
-		t.Fatalf("split watchdog: %v", err)
-	}
-	c := *cfg
-	c.Seed++
-	sys, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(c.Cycles); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rs.Collector(1).Fingerprint(), sys.Collector().Fingerprint(); got != want {
-		t.Errorf("split watchdog replica 1: fingerprint %016x, Build() at Seed+1 %016x", got, want)
+	for name, edit := range map[string]func(*SimConfig){
+		"faults":         func(c *SimConfig) { c.Faults = &lotterybus.FaultConfig{SlaveError: 0.01} },
+		"split watchdog": func(c *SimConfig) { c.Resilience = &ResilienceConfig{SplitTimeout: 500, StarvationThreshold: 200} },
+	} {
+		cfg := SampleConfig()
+		cfg.Cycles = 5000
+		edit(cfg)
+		rs, err := cfg.BuildReplicaSet(2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := rs.Run(cfg.Cycles); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := *cfg
+		c.Seed++
+		sys, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run(c.Cycles); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rs.Collector(1).Fingerprint(), sys.Collector().Fingerprint(); got != want {
+			t.Errorf("%s replica 1: fingerprint %016x, Build() at Seed+1 %016x", name, got, want)
+		}
 	}
 }
 

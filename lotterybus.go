@@ -343,7 +343,7 @@ const RunChunk = 1 << 20
 // context that can never be cancelled runs the whole span in one Run
 // call, making RunContext(context.Background(), n) exactly Run(n).
 func (s *System) RunContext(ctx context.Context, n int64) error {
-	return runChunked(ctx, n, s.b.Run)
+	return s.RunContextObserved(ctx, n, nil)
 }
 
 // RunContextObserved is RunContext with a progress observer invoked
@@ -353,31 +353,15 @@ func (s *System) RunContext(ctx context.Context, n int64) error {
 // it exists so the job server can mark simulate-chunk span boundaries.
 // A nil observe degrades to RunContext exactly.
 func (s *System) RunContextObserved(ctx context.Context, n int64, observe func(done, total int64)) error {
-	return runChunkedObserved(ctx, n, s.b.Run, observe)
-}
-
-// runChunked drives a resumable run function in RunChunk slices with a
-// cancellation check before each.
-func runChunked(ctx context.Context, n int64, run func(int64) error) error {
-	return runChunkedObserved(ctx, n, run, nil)
-}
-
-// runChunkedObserved is runChunked plus a per-chunk observer. With a
-// nil observer and an uncancellable context the whole span runs in one
-// call, exactly as before.
-func runChunkedObserved(ctx context.Context, n int64, run func(int64) error, observe func(done, total int64)) error {
 	if ctx.Done() == nil && observe == nil {
-		return run(n)
+		return s.b.Run(n)
 	}
 	for done := int64(0); done < n; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		step := n - done
-		if step > RunChunk {
-			step = RunChunk
-		}
-		if err := run(step); err != nil {
+		step := min(n-done, RunChunk)
+		if err := s.b.Run(step); err != nil {
 			return err
 		}
 		done += step
