@@ -7,7 +7,10 @@
 // bit-reproducible across machines and Go versions.
 package prng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is the minimal interface for a 64-bit pseudo-random stream.
 // Implementations must be deterministic functions of their seed.
@@ -146,7 +149,9 @@ func Geometric(src Source, p float64) uint64 {
 // GeoDist is a geometric distribution with the constant divisor ln(1-p)
 // of the CDF inversion precomputed. Draw consumes exactly the PRNG
 // values Geometric(src, p) would and returns bit-identical variates;
-// only the per-draw logarithm of the constant is saved.
+// only the per-draw logarithm of the constant is saved, and the
+// per-draw logarithm of 1-u is taken with math.Log unless that could
+// move the floor (see Draw).
 type GeoDist struct {
 	p    float64
 	logQ float64 // ln(1-p); unused when p == 1
@@ -172,8 +177,16 @@ func (d GeoDist) Draw(src Source) uint64 {
 		return 0
 	}
 	u := Float64(src)
-	// k = floor(ln(1-u)/ln(1-p))
-	k := logNat(1-u) / d.logQ
+	// k = floor(ln(1-u)/ln(1-p)), pinned to the logNat quotient the
+	// variates were defined with. math.Log is several times faster and
+	// agrees with logNat to ~1e-12 relative, so the two quotients can
+	// only floor differently when they lie that close to an integer:
+	// recompute with logNat only inside a 1e-9 relative margin of one
+	// (Ziv's strategy: a fast approximation, the exact path on demand).
+	k := math.Log(1-u) / d.logQ
+	if r := math.Round(k); r != 0 && math.Abs(k-r) <= geoMargin*k {
+		k = logNat(1-u) / d.logQ
+	}
 	if k < 0 {
 		return 0
 	}
@@ -182,6 +195,11 @@ func (d GeoDist) Draw(src Source) uint64 {
 	}
 	return uint64(k)
 }
+
+// geoMargin is GeoDist.Draw's relative distance to an integer within
+// which the fast quotient defers to logNat: three orders of magnitude
+// above the two logarithms' combined relative error.
+const geoMargin = 1e-9
 
 // logNat is a dependency-free natural logarithm adequate for distribution
 // inversion (relative error < 1e-12 over (0, 1]). It uses the
