@@ -18,6 +18,7 @@ import (
 	"lotterybus/internal/arb"
 	"lotterybus/internal/bus"
 	"lotterybus/internal/core"
+	"lotterybus/internal/fault"
 	"lotterybus/internal/prng"
 	"lotterybus/internal/traffic"
 )
@@ -117,6 +118,44 @@ func BenchmarkTickBernoulli(b *testing.B) {
 	if err := bb.Run(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkDegradationBus measures one bus cycle of the degradation
+// sweep's bus (BenchmarkTickBernoulli's busy four-master lottery system
+// with slave errors at 1% per beat, retry limit 8, backoff 2 and the
+// starvation detector at 1000 cycles) on the fast-forward engine.
+func BenchmarkDegradationBus(b *testing.B) { benchRun(b, degradationBus(b, false)) }
+
+// BenchmarkDegradationBusNaive is BenchmarkDegradationBus on the naive
+// per-cycle loop.
+func BenchmarkDegradationBusNaive(b *testing.B) { benchRun(b, degradationBus(b, true)) }
+
+func degradationBus(b *testing.B, disableFF bool) *bus.Bus {
+	b.Helper()
+	mgr, err := core.NewStaticLottery(core.StaticConfig{
+		Tickets: []uint64{1, 2, 3, 4},
+		Source:  prng.NewXorShift64Star(1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb := bus.New(bus.Config{MaxBurst: 16, RetryLimit: 8, RetryBackoff: 2, StarvationThreshold: 1000})
+	bb.DisableFastForward = disableFF
+	for i := 0; i < 4; i++ {
+		gen, err := traffic.NewBernoulli(0.72, traffic.Fixed(16), 0, uint64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bb.AddMaster("m", gen, bus.MasterOpts{Tickets: uint64(i + 1)})
+	}
+	bb.AddSlave("mem", bus.SlaveOpts{})
+	bb.SetArbiter(arb.NewStaticLottery(mgr))
+	inj, err := fault.New(fault.Config{Seed: 1, SlaveError: 0.01}, bb.NumMasters(), bb.NumSlaves())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb.SetFaultModel(inj)
+	return bb
 }
 
 // lightBus builds a four-master system at the given offered load per

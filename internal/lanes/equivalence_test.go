@@ -215,54 +215,74 @@ func TestLaneParallelDeterminism(t *testing.T) {
 	}
 }
 
+// laneFeatureBus builds the two-master saturated lane of the feature
+// tests below: a wait-stated memory, a split io slave and a static
+// priority arbiter (a Preemptor), on the naive loop when naive is set.
+func laneFeatureBus(t *testing.T, cfg bus.Config, naive bool) *bus.Bus {
+	t.Helper()
+	b := bus.New(cfg)
+	b.DisableFastForward = naive
+	b.AddMaster("m0", &traffic.Saturating{Words: 4}, bus.MasterOpts{Tickets: 1})
+	b.AddMaster("m1", &traffic.Saturating{Words: 6, Slave: 1}, bus.MasterOpts{Tickets: 2})
+	b.AddSlave("mem", bus.SlaveOpts{WaitStates: 1})
+	b.AddSlave("io", bus.SlaveOpts{SplitLatency: 12})
+	a, err := arb.NewPriority([]uint64{0, 1}) // a Preemptor
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetArbiter(a)
+	return b
+}
+
+// laneFeatureCheck runs two lanes of cfg on the kernel and one on the
+// naive loop, failing unless the lanes fingerprint as the naive loop
+// and fast-forward exactly when ff says they should.
+func laneFeatureCheck(t *testing.T, cfg bus.Config, ff bool) {
+	t.Helper()
+	ls := []*bus.Bus{laneFeatureBus(t, cfg, false), laneFeatureBus(t, cfg, false)}
+	if err := runLanes(ls, 2000, 2); err != nil {
+		t.Fatal(err)
+	}
+	ref := laneFeatureBus(t, cfg, true)
+	if err := ref.Run(2000); err != nil {
+		t.Fatal(err)
+	}
+	for lane, b := range ls {
+		if n := b.FastForwarded(); (n > 0) != ff {
+			t.Errorf("lane %d fast-forwarded %d cycles, want fast-forward %v", lane, n, ff)
+		}
+		if got, want := b.Collector().Fingerprint(), ref.Collector().Fingerprint(); got != want {
+			t.Errorf("lane %d: fingerprint %#x, naive %#x", lane, got, want)
+		}
+	}
+}
+
 // TestLaneRejectsPerCycleFeatures asserts the kernel refuses to
-// fast-forward lanes whose configuration needs the per-cycle loop: each
-// lane advances cycle by cycle and stays bit-identical to the naive
-// loop, while the same lanes without the feature do fast-forward.
+// fast-forward lanes whose configuration needs the per-cycle loop (an
+// active preemptor): each lane advances cycle by cycle and stays
+// bit-identical to the naive loop, while the same lanes without the
+// feature do fast-forward.
 func TestLaneRejectsPerCycleFeatures(t *testing.T) {
-	cases := []struct {
+	plain := laneFeatureBus(t, bus.Config{MaxBurst: 16}, false)
+	if plain.Run(2000) != nil || plain.FastForwarded() == 0 {
+		t.Fatalf("control lane without per-cycle features did not fast-forward")
+	}
+	t.Run("preemption", func(t *testing.T) {
+		laneFeatureCheck(t, bus.Config{MaxBurst: 16, Preemption: true}, false)
+	})
+}
+
+// TestLaneFastForwardsResilience asserts the split watchdog and the
+// starvation detector keep lanes on the fast-forward kernel, bit-identical
+// to the naive loop.
+func TestLaneFastForwardsResilience(t *testing.T) {
+	for _, tc := range []struct {
 		name string
 		cfg  bus.Config
 	}{
-		{"preemption", bus.Config{MaxBurst: 16, Preemption: true}},
 		{"split-timeout", bus.Config{MaxBurst: 16, SplitTimeout: 100}},
 		{"starvation", bus.Config{MaxBurst: 16, StarvationThreshold: 50}},
-	}
-	build := func(cfg bus.Config, naive bool) *bus.Bus {
-		b := bus.New(cfg)
-		b.DisableFastForward = naive
-		b.AddMaster("m0", &traffic.Saturating{Words: 4}, bus.MasterOpts{Tickets: 1})
-		b.AddMaster("m1", &traffic.Saturating{Words: 6, Slave: 1}, bus.MasterOpts{Tickets: 2})
-		b.AddSlave("mem", bus.SlaveOpts{WaitStates: 1})
-		b.AddSlave("io", bus.SlaveOpts{SplitLatency: 12})
-		a, err := arb.NewPriority([]uint64{0, 1}) // a Preemptor
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.SetArbiter(a)
-		return b
-	}
-	if plain := build(bus.Config{MaxBurst: 16}, false); plain.Run(2000) != nil || plain.FastForwarded() == 0 {
-		t.Fatalf("control lane without per-cycle features did not fast-forward")
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ls := []*bus.Bus{build(tc.cfg, false), build(tc.cfg, false)}
-			if err := runLanes(ls, 2000, 2); err != nil {
-				t.Fatal(err)
-			}
-			ref := build(tc.cfg, true)
-			if err := ref.Run(2000); err != nil {
-				t.Fatal(err)
-			}
-			for lane, b := range ls {
-				if n := b.FastForwarded(); n != 0 {
-					t.Errorf("lane %d fast-forwarded %d cycles despite %s", lane, n, tc.name)
-				}
-				if got, want := b.Collector().Fingerprint(), ref.Collector().Fingerprint(); got != want {
-					t.Errorf("lane %d: fingerprint %#x, naive %#x", lane, got, want)
-				}
-			}
-		})
+	} {
+		t.Run(tc.name, func(t *testing.T) { laneFeatureCheck(t, tc.cfg, true) })
 	}
 }

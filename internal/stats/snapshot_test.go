@@ -34,7 +34,7 @@ func snapCollector(n int, faults, negative bool) *Collector {
 			c.Abort(m)
 			c.SplitTimeout(m)
 			c.ErrorWord(m)
-			c.StarvedCycle(m)
+			c.AddStarvedCycles(m, 1)
 			c.WaitEnded(m, 2000, 1000)
 			c.WaitObserved(m, 2500)
 		}

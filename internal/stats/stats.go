@@ -200,9 +200,9 @@ func (c *Collector) MessageDropped(m int) { c.drops[m]++ }
 // Drops returns the queue-overflow drop count of master m.
 func (c *Collector) Drops(m int) int64 { return c.drops[m] }
 
-// StarvedCycle records one cycle master m spent pending beyond the
+// AddStarvedCycles records k cycles master m spent pending beyond the
 // starvation threshold.
-func (c *Collector) StarvedCycle(m int) { c.starveCycles[m]++ }
+func (c *Collector) AddStarvedCycles(m int, k int64) { c.starveCycles[m] += k }
 
 // StarvedCycles returns how many cycles master m spent pending beyond
 // the starvation threshold.

@@ -379,8 +379,8 @@ func TestFaultInjectionThroughFacade(t *testing.T) {
 	if !strings.Contains(r.String(), "retries") {
 		t.Fatalf("faulty report lacks resilience columns:\n%s", r)
 	}
-	if sys.FastForwardedCycles() != 0 {
-		t.Fatal("fault-armed run fast-forwarded")
+	if sys.FastForwardedCycles() == 0 {
+		t.Fatal("fault-armed run never fast-forwarded")
 	}
 
 	// A clean run's report keeps the original column set.
@@ -393,6 +393,50 @@ func TestFaultInjectionThroughFacade(t *testing.T) {
 	}
 	if strings.Contains(clean.Report().String(), "retries") {
 		t.Fatalf("clean report grew resilience columns:\n%s", clean.Report())
+	}
+}
+
+// TestSetFaultsDisarmStopsFaults is the facade regression test for a
+// stale fault model: a zero FaultConfig after an armed Run must stop all
+// fault activity on the fast-forward engine, exactly as on the per-cycle
+// loop (an OnCycle hook forces it).
+func TestSetFaultsDisarmStopsFaults(t *testing.T) {
+	run := func(naive bool) *System {
+		sys := newSaturated(t, []uint64{1, 3})
+		if err := sys.UseLottery(); err != nil {
+			t.Fatal(err)
+		}
+		if naive {
+			sys.OnCycle(func(int64, *System) {})
+		}
+		if err := sys.SetFaults(FaultConfig{SlaveError: 0.05, WordError: 0.02}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetFaults(FaultConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		armed := sys.Report()
+		if err := sys.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range sys.Report().Masters {
+			if a := armed.Masters[i]; m.Retries != a.Retries || m.ErrorWords != a.ErrorWords {
+				t.Errorf("naive=%v master %d: retries %d->%d, error words %d->%d after disarm",
+					naive, i, a.Retries, m.Retries, a.ErrorWords, m.ErrorWords)
+			}
+		}
+		return sys
+	}
+	fast, naive := run(false), run(true)
+	if fast.FastForwardedCycles() == 0 || naive.FastForwardedCycles() != 0 {
+		t.Fatalf("engines: fast-forwarded %d (fast) and %d (hooked) cycles",
+			fast.FastForwardedCycles(), naive.FastForwardedCycles())
+	}
+	if f, n := fast.Collector().Fingerprint(), naive.Collector().Fingerprint(); f != n {
+		t.Fatalf("fingerprint: fast %#x, hooked %#x", f, n)
 	}
 }
 
