@@ -208,10 +208,9 @@ func (cfg *SimConfig) BuildReplicaSet(n int) (*lotterybus.ReplicaSet, error) {
 	return lotterybus.NewReplicaSet(systems...), nil
 }
 
-// perCycleHooks reports whether the config arms machinery that runs
-// every cycle: fault injection, the split watchdog or the starvation
-// detector.
-func (cfg *SimConfig) perCycleHooks() bool {
+// armsResilience reports whether the config arms fault injection, the
+// split watchdog or the starvation detector.
+func (cfg *SimConfig) armsResilience() bool {
 	r := cfg.Resilience
 	return cfg.Faults != nil || r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0)
 }
@@ -277,7 +276,7 @@ func (cfg *SimConfig) useArbiter(sys *lotterybus.System) error {
 // split watchdog or the starvation detector — so such runs always
 // simulate.
 func (cfg *SimConfig) AnalyticPoint() (analytic.Point, bool) {
-	if cfg.perCycleHooks() {
+	if cfg.armsResilience() {
 		return analytic.Point{}, false
 	}
 	kind := cfg.Arbiter.Kind
