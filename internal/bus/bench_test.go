@@ -266,3 +266,37 @@ func BenchmarkDrawOnlyDynamic(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWideBus measures one bus cycle of a 64-master port shaped
+// like the cmp64 fabric's shared directory port: Bernoulli masters at
+// 0.012 words/cycle with 2-word messages, tickets 1..4 by master index
+// mod 4, one plain slave, a static lottery over all 64. Arbitration
+// cost on such a port follows the few live requesters, not the port
+// width.
+func BenchmarkWideBus(b *testing.B) { benchRun(b, dirPortBus(b, false)) }
+
+// BenchmarkWideBusNaive is BenchmarkWideBus on the naive per-cycle loop.
+func BenchmarkWideBusNaive(b *testing.B) { benchRun(b, dirPortBus(b, true)) }
+
+func dirPortBus(b *testing.B, disableFF bool) *bus.Bus {
+	b.Helper()
+	const n = 64
+	tickets := make([]uint64, n)
+	bb := bus.New(bus.Config{MaxBurst: 16})
+	bb.DisableFastForward = disableFF
+	for i := range tickets {
+		tickets[i] = uint64(i%4 + 1)
+		gen, err := traffic.NewBernoulli(0.012, traffic.Fixed(2), 0, uint64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bb.AddMaster("m", gen, bus.MasterOpts{Tickets: tickets[i]})
+	}
+	bb.AddSlave("dir", bus.SlaveOpts{})
+	mgr, err := core.NewStaticLottery(core.StaticConfig{Tickets: tickets, Source: prng.NewXorShift64Star(1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb.SetArbiter(arb.NewStaticLottery(mgr))
+	return bb
+}

@@ -23,6 +23,7 @@ package bus
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lotterybus/internal/core"
 	"lotterybus/internal/stats"
@@ -423,12 +424,23 @@ type Bus struct {
 	// the two paths; production callers never need it.
 	DisableFastForward bool
 
-	// mask caches the request map for cycle maskFor, so arbiters calling
-	// Requests.Mask during arbitration reuse the bus's own computation
-	// instead of recomputing it master by master. A split transaction's
-	// pending state is a function of the cycle (respReady), so the cache
-	// is valid for exactly one cycle; maskFor is -1 when nothing is
-	// cached.
+	// The request map is kept as the bus state changes instead of being
+	// rebuilt master by master each cycle. queued has bit i set while
+	// master i's queue is non-empty: enqueue sets it and popHead, the one
+	// place a queue shrinks, clears it. A queue alone decides a request
+	// line except while the master has a split outstanding (its line
+	// follows the response's readiness, a function of the cycle) or sits
+	// out a retry backoff; held marks those masters. Only they are
+	// re-evaluated with masterPending when the map is loaded
+	// (loadRequests), and each is released once neither condition holds,
+	// so a clean bus loads its map as one copy. held also covers every
+	// master the watchdog and the fast engine's timers need to look at.
+	queued core.Bitset
+	held   core.Bitset
+
+	// mask caches the request map loaded for cycle maskFor (-1 when
+	// nothing is), so arbiters calling Requests.Mask or Pending during
+	// arbitration read the map the cycle loop just loaded.
 	mask    core.Bitset
 	maskFor int64
 
@@ -542,6 +554,7 @@ func (b *Bus) FastForwarded() int64 { return b.ffCycles }
 // generator. It reports whether the message was accepted (false on queue
 // overflow, which is also counted against the master).
 func (b *Bus) Inject(m int, words, slave int) bool {
+	b.maskFor = -1 // the map loaded for this cycle may change
 	return b.enqueue(m, words, slave, b.cycle)
 }
 
@@ -564,7 +577,18 @@ func (b *Bus) enqueue(m int, words, slave int, cycle int64) bool {
 	mm.enqMsgs++
 	mm.enqWords += int64(words)
 	mm.queue.push(message{arrival: cycle, words: words, remaining: words, slave: slave})
+	b.queued.Set(m)
 	return true
+}
+
+// popHead discards master i's head message, clearing its queued bit when
+// that empties the queue. Every pop goes through here.
+func (b *Bus) popHead(i int) {
+	q := &b.masters[i].queue
+	q.pop()
+	if q.len() == 0 {
+		b.queued.Clear(i)
+	}
 }
 
 // validate checks the bus is runnable.
@@ -689,7 +713,6 @@ func (b *Bus) runNaive(end int64, col *stats.Collector) error {
 	}
 	splitTO := b.cfg.SplitTimeout
 	starveThr := b.cfg.StarvationThreshold
-	wide := len(b.masters) > 64
 	for ; b.cycle < end; b.cycle++ {
 		cycle := b.cycle
 		if b.OnCycle != nil {
@@ -715,28 +738,11 @@ func (b *Bus) runNaive(end int64, col *stats.Collector) error {
 
 		// Phase 2: arbitration when idle; pre-emption check otherwise.
 		if b.cur == nil {
-			if !wide {
-				if w := b.requestMask64(); w != 0 {
-					// Narrow buses never set mask words 1..3, so storing
-					// word 0 alone keeps the cache current without
-					// copying the whole bitset.
-					b.mask[0], b.maskFor = w, cycle
-					if g, ok := b.arb.Arbitrate(cycle, &b.reqView); ok {
-						if err := b.startBurst(g, col); err != nil {
-							return err
-						}
-					}
-				}
-			} else if mask := b.requestMaskWide(); mask.Any() {
-				b.mask, b.maskFor = mask, cycle
-				if g, ok := b.arb.Arbitrate(cycle, &b.reqView); ok {
-					if err := b.startBurst(g, col); err != nil {
-						return err
-					}
-				}
+			if _, err := b.arbitrate(col); err != nil {
+				return err
 			}
 		} else if pre != nil {
-			b.mask, b.maskFor = b.requestMask(), cycle
+			b.loadRequests()
 			if g, ok := pre.Preempt(cycle, b.cur.master, &b.reqView); ok && g.Master != b.cur.master {
 				b.preemptions++
 				b.cur = nil
@@ -774,10 +780,33 @@ func (b *Bus) holder() int {
 	return b.cur.master
 }
 
+// arbitrate consults the arbiter when anybody requests at b.cycle and
+// starts the burst it grants; live reports whether the request map was
+// non-empty.
+func (b *Bus) arbitrate(col *stats.Collector) (live bool, err error) {
+	if b.loadRequests().None() {
+		return false, nil
+	}
+	if g, ok := b.arb.Arbitrate(b.cycle, &b.reqView); ok {
+		return true, b.startBurst(g, col)
+	}
+	return true, nil
+}
+
+// eachHeld calls f for every held master in index order.
+func (b *Bus) eachHeld(f func(i int, m *Master)) {
+	for w, word := range b.held {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			f(i, b.masters[i])
+		}
+	}
+}
+
 // watchdog aborts the split transactions whose response has not become
 // ready within splitTO cycles of their address beat.
 func (b *Bus) watchdog(col *stats.Collector, splitTO int64) {
-	for i, m := range b.masters {
+	b.eachHeld(func(i int, m *Master) {
 		if m.outstanding != nil && m.respReady > b.cycle &&
 			b.cycle-m.splitIssued >= splitTO {
 			col.SplitTimeout(i)
@@ -786,7 +815,7 @@ func (b *Bus) watchdog(col *stats.Collector, splitTO int64) {
 			m.outstanding = nil
 			m.retries = 0
 		}
-	}
+	})
 }
 
 // starveSpan advances the starvation detector over the cycles
@@ -798,8 +827,9 @@ func (b *Bus) watchdog(col *stats.Collector, splitTO int64) {
 // cycle at a time, the fast engine for whole stretches between events,
 // so the starved count is the arithmetic of a fixed pending set.
 func (b *Bus) starveSpan(col *stats.Collector, thr, to int64, owner int) {
+	req := b.loadRequests()
 	for i, m := range b.masters {
-		if i == owner || !b.masterPending(i) {
+		if i == owner || !requesting(req, i) {
 			if m.waitSince >= 0 {
 				col.WaitEnded(i, b.cycle-m.waitSince, thr)
 				m.waitSince = -1
@@ -815,42 +845,48 @@ func (b *Bus) starveSpan(col *stats.Collector, thr, to int64, owner int) {
 	}
 }
 
-// requestMask64 builds the cycle's request map for buses of at most 64
-// masters — one register word, kept small enough to inline into the
-// cycle loops so the pre-bitset hot path survives unchanged. Wide
-// fabrics go through requestMaskWide instead.
-func (b *Bus) requestMask64() uint64 {
-	var w uint64
-	for i := range b.masters {
-		if b.masterPending(i) {
-			w |= 1 << uint(i)
-		}
+// loadRequests loads the request map at b.cycle into the mask cache and
+// returns it: the queued masters, with each held master's line
+// re-evaluated by masterPending. A held master whose split and backoff
+// are both over is released, its line from then on its queue's (the map
+// is read at non-decreasing cycles, and setting either condition again
+// re-holds the master).
+func (b *Bus) loadRequests() *core.Bitset {
+	b.mask, b.maskFor = b.queued, b.cycle
+	if b.held.Any() {
+		b.settleHeld()
 	}
-	return w
+	return &b.mask
 }
 
-// requestMaskWide is requestMask64 for fabrics beyond one mask word.
-func (b *Bus) requestMaskWide() core.Bitset {
-	var mask core.Bitset
-	for i := range b.masters {
-		if b.masterPending(i) {
-			mask.Set(i)
+// settleHeld re-evaluates the held masters' request lines in the mask
+// cache and releases the masters that need no more watching.
+func (b *Bus) settleHeld() {
+	b.eachHeld(func(i int, m *Master) {
+		switch {
+		case m.outstanding == nil && m.backoffUntil <= b.cycle:
+			b.held.Clear(i)
+		case b.masterPending(i):
+			b.mask.Set(i)
+		default:
+			b.mask.Clear(i)
 		}
-	}
-	return mask
+	})
 }
 
-// requestMask builds the cycle's request map at either width; the hot
-// loops dispatch to the narrow/wide variants themselves to keep the
-// ≤64-master path inlined.
-func (b *Bus) requestMask() core.Bitset {
-	if len(b.masters) <= 64 {
-		var mask core.Bitset
-		mask[0] = b.requestMask64()
-		return mask
+// requests returns the request map at b.cycle from the mask cache,
+// loading it when it was loaded for another cycle.
+func (b *Bus) requests() *core.Bitset {
+	if b.maskFor != b.cycle {
+		return b.loadRequests()
 	}
-	return b.requestMaskWide()
+	return &b.mask
 }
+
+// requesting reports whether bit i of req is set. It is Bitset.Test
+// through the pointer: Test's value receiver would copy the whole map
+// for each master asked about.
+func requesting(req *core.Bitset, i int) bool { return req[i>>6]>>uint(i&63)&1 == 1 }
 
 // masterPending reports whether master i's request line is asserted: a
 // ready split response takes precedence; a master with an outstanding
@@ -951,21 +987,8 @@ func (b *Bus) transferWord(col *stats.Collector) int {
 		col.MessageStarted(cur.master, msg.arrival, b.cycle)
 	}
 
-	// Split request address beat: one control cycle, then the bus is
-	// released while the slave processes.
 	if cur.control {
-		col.ControlCycle(cur.master)
-		m.outBuf = *msg
-		m.outstanding = &m.outBuf
-		m.respReady = b.cycle + int64(b.slaves[msg.slave].splitLatency)
-		m.splitIssued = b.cycle
-		if b.fm != nil && b.fm.SplitHang(b.cycle, cur.master, msg.slave) {
-			// The slave drops the request: the response never becomes
-			// ready and only the watchdog can free this master.
-			m.respReady = never
-		}
-		m.queue.pop()
-		b.cur = nil
+		b.splitRequest(col, cur.master, b.cycle)
 		return cur.master
 	}
 
@@ -988,13 +1011,7 @@ func (b *Bus) transferWord(col *stats.Collector) int {
 		if b.OnMessageComplete != nil {
 			b.OnMessageComplete(cur.master, msg.words, msg.slave, msg.arrival, b.cycle)
 		}
-		if cur.fromOutstanding {
-			m.outstanding = nil
-		} else {
-			m.queue.pop()
-		}
-		m.retries = 0
-		b.cur = nil
+		b.retire(cur)
 		return cur.master
 	}
 	if cur.done == cur.words {
@@ -1007,6 +1024,41 @@ func (b *Bus) transferWord(col *stats.Collector) int {
 		cur.waitLeft = b.slaves[msg.slave].waitStates
 	}
 	return cur.master
+}
+
+// splitRequest issues master i's split address beat for its head
+// message at cycle c: one control cycle, after which the message waits
+// in the outstanding slot, the master is held, and the bus is released
+// while the slave processes.
+func (b *Bus) splitRequest(col *stats.Collector, i int, c int64) {
+	m := b.masters[i]
+	msg := m.queue.front()
+	col.ControlCycle(i)
+	m.outBuf = *msg
+	m.outstanding = &m.outBuf
+	m.respReady = c + int64(b.slaves[msg.slave].splitLatency)
+	m.splitIssued = c
+	if b.fm != nil && b.fm.SplitHang(c, i, msg.slave) {
+		// The slave drops the request: the response never becomes
+		// ready and only the watchdog can free this master.
+		m.respReady = never
+	}
+	b.held.Set(i)
+	b.popHead(i)
+	b.cur = nil
+}
+
+// retire frees the burst's message, from the outstanding slot or the
+// queue head, resets its master's retry count and ends the burst.
+func (b *Bus) retire(cur *burst) {
+	m := b.masters[cur.master]
+	if cur.fromOutstanding {
+		m.outstanding = nil
+	} else {
+		b.popHead(cur.master)
+	}
+	m.retries = 0
+	b.cur = nil
 }
 
 // faultBeat consumes the active burst's data beat at b.cycle as faulted.
@@ -1039,18 +1091,17 @@ func (b *Bus) failBurst(col *stats.Collector, cur *burst, m *Master) {
 	m.retries++
 	if m.retries > b.cfg.RetryLimit {
 		col.Abort(mi)
-		m.retries = 0
 		if cur.fromOutstanding {
 			m.lostWords += int64(m.outstanding.remaining)
-			m.outstanding = nil
 		} else {
 			m.lostWords += int64(m.queue.front().remaining)
-			m.queue.pop()
 		}
-	} else {
-		col.Retry(mi)
-		m.backoffUntil = b.cycle + 1 + int64(b.cfg.RetryBackoff*m.retries)
+		b.retire(cur)
+		return
 	}
+	col.Retry(mi)
+	m.backoffUntil = b.cycle + 1 + int64(b.cfg.RetryBackoff*m.retries)
+	b.held.Set(mi)
 	b.cur = nil
 }
 
@@ -1059,19 +1110,14 @@ type requestView struct{ b *Bus }
 
 func (v *requestView) NumMasters() int { return len(v.b.masters) }
 
-func (v *requestView) Pending(i int) bool { return v.b.masterPending(i) }
+func (v *requestView) Pending(i int) bool { return requesting(v.b.requests(), i) }
 
-// Mask serves the request map cached by the cycle loop when it is fresh
-// (the common case during arbitration) and recomputes otherwise.
-func (v *requestView) Mask() core.Bitset {
-	if v.b.maskFor == v.b.cycle {
-		return v.b.mask
-	}
-	return v.b.requestMask()
-}
+// Mask returns the request map the cycle loop loaded for this cycle (the
+// common case during arbitration), loading it first otherwise.
+func (v *requestView) Mask() core.Bitset { return *v.b.requests() }
 
 func (v *requestView) PendingWords(i int) int {
-	if !v.b.masterPending(i) {
+	if !v.Pending(i) {
 		return 0
 	}
 	m := v.b.masters[i]

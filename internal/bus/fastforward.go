@@ -36,6 +36,18 @@
 // advance (FaultModel.BabbleWindow): Run hands each window to the naive
 // loop, and only the stretches between windows come here.
 //
+// Both engines read one request map, kept by the bus as its state
+// changes rather than rebuilt master by master each cycle (see the
+// queued and held fields of Bus). A queue decides its master's request
+// line except while the master has a split outstanding, whose line
+// follows the response's readiness cycle, or sits out a retry backoff:
+// those masters are held, only they are re-evaluated when the map is
+// read, and a master leaves the held set once neither condition holds.
+// Arbitration, the starvation detector and the arbiter's Requests view
+// all read that map, so their cost follows the masters that are live
+// or held rather than the bus width; the watchdog and the timers that
+// bound every leap look at the held masters alone.
+//
 // Eligibility (checked per Run call by fastForwardable): no OnCycle /
 // OnOwner / OnMessageComplete hook, no active Preemptor, and every
 // attached generator implements Scheduler or Saturator. Anything else
@@ -156,14 +168,14 @@ func (b *Bus) refill(i int) {
 
 // nextSplitReady returns the earliest cycle at which an outstanding
 // split transaction's response becomes ready (asserting its master's
-// request line), or never.
+// request line), or never. Only held masters can have one.
 func (b *Bus) nextSplitReady() int64 {
 	next := never
-	for _, m := range b.masters {
+	b.eachHeld(func(_ int, m *Master) {
 		if m.outstanding != nil && m.respReady < next {
 			next = m.respReady
 		}
-	}
+	})
 	return next
 }
 
@@ -172,15 +184,16 @@ func (b *Bus) nextSplitReady() int64 {
 // master re-asserts its request), a split response becoming ready after
 // b.cycle, or, with the watchdog armed, a split deadline from b.cycle on
 // that passes before its response (the watchdog acts inside the cycle,
-// so a deadline at b.cycle itself needs that cycle executed).
+// so a deadline at b.cycle itself needs that cycle executed). Only held
+// masters have timers.
 func (b *Bus) nextTimer(splitTO int64) int64 {
 	next := never
-	for _, m := range b.masters {
+	b.eachHeld(func(_ int, m *Master) {
 		if m.backoffUntil > b.cycle {
 			next = min(next, m.backoffUntil)
 		}
 		if m.outstanding == nil {
-			continue
+			return
 		}
 		if m.respReady > b.cycle {
 			next = min(next, m.respReady)
@@ -188,7 +201,7 @@ func (b *Bus) nextTimer(splitTO int64) int64 {
 		if d := m.splitIssued + splitTO; splitTO > 0 && d >= b.cycle && m.respReady > d {
 			next = min(next, d)
 		}
-	}
+	})
 	return next
 }
 
@@ -199,7 +212,6 @@ func (b *Bus) nextTimer(splitTO int64) int64 {
 // executed cycle it leaps to the next event.
 func (b *Bus) runFast(end int64, col *stats.Collector) error {
 	b.primeArrivals()
-	wide := len(b.masters) > 64
 	splitTO, starveThr := b.cfg.SplitTimeout, b.cfg.StarvationThreshold
 	// Resilience timers bound every leap once anything can set them: an
 	// armed model, the watchdog, the starvation detector (which sees
@@ -228,30 +240,9 @@ func (b *Bus) runFast(end int64, col *stats.Collector) error {
 
 		// Phase 2: arbitration when idle.
 		if b.cur == nil {
-			idle := false
-			if !wide {
-				if w := b.requestMask64(); w != 0 {
-					// Narrow buses never set mask words 1..3, so storing
-					// word 0 alone keeps the cache current without
-					// copying the whole bitset.
-					b.mask[0], b.maskFor = w, cycle
-					if g, ok := b.arb.Arbitrate(cycle, &b.reqView); ok {
-						if err := b.startBurst(g, col); err != nil {
-							return err
-						}
-					}
-				} else {
-					idle = true
-				}
-			} else if mask := b.requestMaskWide(); mask.Any() {
-				b.mask, b.maskFor = mask, cycle
-				if g, ok := b.arb.Arbitrate(cycle, &b.reqView); ok {
-					if err := b.startBurst(g, col); err != nil {
-						return err
-					}
-				}
-			} else {
-				idle = true
+			live, err := b.arbitrate(col)
+			if err != nil {
+				return err
 			}
 			// Dead gap: bus idle, no requests. Nothing can happen until
 			// the next arrival, split response or timer, so the rest of
@@ -259,7 +250,7 @@ func (b *Bus) runFast(end int64, col *stats.Collector) error {
 			// starvation detector has nothing to count: nobody requests
 			// now, so nobody was waiting at the last scanned cycle
 			// either, since no request line drops between cycles.
-			if idle {
+			if !live {
 				if target := min(limit(), b.arrMin, b.nextSplitReady()); target > cycle {
 					col.AdvanceCycles(target - cycle)
 					b.ffCycles += target - cycle - 1
@@ -372,16 +363,7 @@ func (b *Bus) burstBeats(limit int64, col *stats.Collector) int64 {
 	// Split request phase: a single address beat at first, then the bus
 	// is released while the slave processes.
 	if cur.control {
-		col.ControlCycle(cur.master)
-		m.outBuf = *msg
-		m.outstanding = &m.outBuf
-		m.respReady = first + int64(b.slaves[msg.slave].splitLatency)
-		m.splitIssued = first
-		if b.fm != nil && b.fm.SplitHang(first, cur.master, msg.slave) {
-			m.respReady = never
-		}
-		m.queue.pop()
-		b.cur = nil
+		b.splitRequest(col, cur.master, first)
 		return first + 1
 	}
 
@@ -416,13 +398,7 @@ func (b *Bus) burstBeats(limit int64, col *stats.Collector) int64 {
 
 	if msg.remaining == 0 {
 		col.MessageCompleted(cur.master, msg.words, msg.arrival, last)
-		if cur.fromOutstanding {
-			m.outstanding = nil
-		} else {
-			m.queue.pop()
-		}
-		m.retries = 0
-		b.cur = nil
+		b.retire(cur)
 		return last + 1
 	}
 	if cur.done == cur.words {

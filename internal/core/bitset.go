@@ -84,6 +84,18 @@ func (s Bitset) HighestSet() int {
 	return NoWinner
 }
 
+// within restricts s to the bits of all, in place, and reports whether
+// any bit is left. The managers call it on every draw; it works on s
+// word by word because a fresh Bitset built from 8-byte stores and then
+// copied whole stalls on the store-to-load forward.
+func (s *Bitset) within(all *Bitset) bool {
+	s[0] &= all[0]
+	s[1] &= all[1]
+	s[2] &= all[2]
+	s[3] &= all[3]
+	return s[0]|s[1]|s[2]|s[3] != 0
+}
+
 // Trim clears every bit at index n and above, restricting the set to
 // the first n contenders. n outside [0, MaxMasters] is clamped.
 func (s *Bitset) Trim(n int) {

@@ -99,7 +99,7 @@ func TestDynamicNeverGrantsNonRequester(t *testing.T) {
 			// whose slack zone goes to the highest-indexed requester
 			// regardless of its holdings (that is what lifting the last
 			// comparator threshold does in hardware).
-			if tickets[w] == 0 && !(policy == PolicyAbsorbLast && w == highestBit(mask)) {
+			if tickets[w] == 0 && !(policy == PolicyAbsorbLast && w == Mask64Bitset(mask).HighestSet()) {
 				for i := range tickets {
 					if mask>>uint(i)&1 == 1 && tickets[i] > 0 {
 						t.Logf("zero-ticket winner %d beat funded requester %d", w, i)

@@ -14,7 +14,8 @@
 // Two managers are provided, mirroring the paper's two architectures:
 //
 //   - StaticLottery (§4.3): ticket holdings are fixed at construction.
-//     All 2^n partial-sum ranges are precomputed into a lookup table and
+//     All 2^n partial-sum ranges are precomputed into a lookup table (up
+//     to 12 masters; beyond that the live requesters are walked) and
 //     the ticket holdings are scaled so the grand total is a power of
 //     two, enabling an LFSR-based random number generator.
 //
@@ -32,13 +33,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lotterybus/internal/prng"
 )
 
 // lutMaxMasters bounds the request-map lookup table (2^n entries of n
-// partial sums each). Beyond this the static manager computes ranges on
-// demand, which is behaviourally identical.
+// partial sums each). Beyond it the managers walk the request map's set
+// bits instead, which is behaviourally identical.
 const lutMaxMasters = 12
 
 // SlackPolicy selects how a lottery manager maps a raw random word onto
@@ -105,7 +107,8 @@ type StaticLottery struct {
 	policy SlackPolicy
 	src    prng.Source
 
-	n int
+	n   int
+	all Bitset // the request map with every master pending
 	// Two lookup tables are kept: the scaled table mirrors the hardware
 	// LUT (paper Fig. 9) and serves the hardware-style policies; the
 	// original-holdings table serves PolicyExact, which by definition is
@@ -118,18 +121,19 @@ type StaticLottery struct {
 }
 
 // rangeLUT caches, per request mask, the running partial sums
-// Σ_{j<=i} r_j·t_j and the live total.
+// Σ_{j<=i} r_j·t_j and the live total — the hardware lookup table of
+// paper Fig. 9. Beyond lutMaxMasters only the holdings are kept and the
+// live requesters are walked instead.
 type rangeLUT struct {
 	holdings []uint64
-	totals   []uint64   // nil when beyond lutMaxMasters
-	psums    [][]uint64 // nil when beyond lutMaxMasters
-	scratch  []uint64
+	totals   []uint64   // nil beyond lutMaxMasters
+	psums    [][]uint64 // nil beyond lutMaxMasters
 }
 
-func newRangeLUT(holdings []uint64, buildTable bool) rangeLUT {
+func newRangeLUT(holdings []uint64) rangeLUT {
 	n := len(holdings)
-	l := rangeLUT{holdings: holdings, scratch: make([]uint64, n)}
-	if !buildTable {
+	l := rangeLUT{holdings: holdings}
+	if n > lutMaxMasters {
 		return l
 	}
 	size := 1 << n
@@ -151,34 +155,49 @@ func newRangeLUT(holdings []uint64, buildTable bool) rangeLUT {
 	return l
 }
 
-// live returns the partial sums and total for mask. The returned slice is
-// shared; callers must not retain it across draws.
-func (l *rangeLUT) live(mask uint64) ([]uint64, uint64) {
-	if l.psums != nil && mask < uint64(len(l.psums)) {
-		return l.psums[mask], l.totals[mask]
+// total returns the live total of set, which holds no bit at or beyond
+// the manager's master count.
+func (l *rangeLUT) total(set *Bitset) uint64 {
+	if l.totals != nil {
+		return l.totals[set[0]]
 	}
-	var acc uint64
-	for i := range l.holdings {
-		if mask>>uint(i)&1 == 1 {
-			acc += l.holdings[i]
-		}
-		l.scratch[i] = acc
-	}
-	return l.scratch, acc
+	return liveTotal(l.holdings, set)
 }
 
-// liveSet is live for a wide request map (more than 64 masters, beyond
-// any LUT). The returned slice is shared; callers must not retain it
-// across draws.
-func (l *rangeLUT) liveSet(set Bitset) ([]uint64, uint64) {
+// liveTotal is the AND stage plus adder tree over the live requesters
+// only: Σ t_i over the set bits i of set, walking the words that can
+// hold a master of t.
+func liveTotal(t []uint64, set *Bitset) uint64 {
 	var acc uint64
-	for i := range l.holdings {
-		if set.Test(i) {
-			acc += l.holdings[i]
+	for w, word := range set[:(len(t)+63)>>6] {
+		if word == ^uint64(0) { // a saturated word: a plain sum is faster
+			for _, x := range t[w<<6 : w<<6+64] {
+				acc += x
+			}
+			continue
 		}
-		l.scratch[i] = acc
+		for ; word != 0; word &= word - 1 {
+			acc += t[w<<6|bits.TrailingZeros64(word)]
+		}
 	}
-	return l.scratch, acc
+	return acc
+}
+
+// crossing is selectWinner over the set bits of set alone: it returns
+// the first requester whose running partial sum exceeds r. A
+// non-requester's range is empty, so skipping it cannot move the first
+// crossing and the winner matches the full comparator bank's.
+func crossing(t []uint64, set *Bitset, r uint64) int {
+	var acc uint64
+	for w, word := range set[:(len(t)+63)>>6] {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if acc += t[i]; r < acc {
+				return i
+			}
+		}
+	}
+	return NoWinner
 }
 
 // StaticConfig parameterizes NewStaticLottery.
@@ -234,8 +253,9 @@ func NewStaticLottery(cfg StaticConfig) (*StaticLottery, error) {
 		policy:    cfg.Policy,
 		src:       cfg.Source,
 		n:         n,
-		scaledLUT: newRangeLUT(scaled, n <= lutMaxMasters),
-		origLUT:   newRangeLUT(orig, n <= lutMaxMasters),
+		all:       FullBitset(n),
+		scaledLUT: newRangeLUT(scaled),
+		origLUT:   newRangeLUT(orig),
 	}
 	return l, nil
 }
@@ -263,8 +283,15 @@ func (l *StaticLottery) ScaledTickets() []uint64 {
 // request mask, using the scaled holdings. This is the row the hardware
 // lookup table stores for that request map.
 func (l *StaticLottery) RangeTable(mask uint64) []uint64 {
-	ps, _ := l.scaledLUT.live(mask)
-	return append([]uint64(nil), ps...)
+	ps := make([]uint64, l.n)
+	var acc uint64
+	for i, t := range l.scaled {
+		if mask>>uint(i)&1 == 1 {
+			acc += t
+		}
+		ps[i] = acc
+	}
+	return ps
 }
 
 // Draws reports how many draws have been performed (including redraws).
@@ -276,84 +303,50 @@ func (l *StaticLottery) Redraws() uint64 { return l.redraws }
 // Draw runs one lottery over the masters in mask (bit i set means master
 // i has a pending request). It returns the granted master index, or
 // NoWinner if mask is empty or a PolicyRedraw draw hit the slack zone.
-func (l *StaticLottery) Draw(mask uint64) int {
-	mask &= (uint64(1) << uint(l.n)) - 1
-	if mask == 0 {
-		return NoWinner
-	}
-	l.draws++
-	var ps []uint64
-	var total, r uint64
-	switch l.policy {
-	case PolicyModulo:
-		ps, total = l.origLUT.live(mask)
-		if total >= 1<<24 {
-			r = prng.Uintn(l.src, total)
-		} else {
-			r = (l.src.Uint64() & (1<<32 - 1)) % total
-		}
-	case PolicyRedraw:
-		ps, total = l.scaledLUT.live(mask)
-		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		ps, total = l.scaledLUT.live(mask)
-		r = l.word()
-		if r >= total {
-			return highestBit(mask)
-		}
-	default: // PolicyExact
-		ps, total = l.origLUT.live(mask)
-		r = prng.Uintn(l.src, total)
-	}
-	return selectWinner(ps, r)
-}
+func (l *StaticLottery) Draw(mask uint64) int { return l.DrawSet(Mask64Bitset(mask)) }
 
-// DrawSet runs one lottery over the masters in set — the wide-fabric
-// entry point. For managers of at most 64 masters it reduces to
-// Draw(set.Mask64()): same PRNG consumption, same winner, so existing
-// fingerprints are untouched and the hot loop stays word-wide. Beyond
-// 64 masters the partial sums are scanned over the full set.
+// DrawSet runs one lottery over the masters in set, at any width. Up to
+// lutMaxMasters the live total and the comparator row come from the
+// lookup table; beyond it they come from a walk over the set bits, which
+// draws the same random words and grants the same winner.
 func (l *StaticLottery) DrawSet(set Bitset) int {
-	if l.n <= 64 {
-		return l.Draw(set.Mask64())
-	}
-	set.Trim(l.n)
-	if set.None() {
+	if !set.within(&l.all) {
 		return NoWinner
 	}
 	l.draws++
-	var ps []uint64
-	var total, r uint64
+	lut := &l.origLUT
+	if l.policy == PolicyRedraw || l.policy == PolicyAbsorbLast {
+		lut = &l.scaledLUT
+	}
+	total := lut.total(&set)
+	var r uint64
 	switch l.policy {
 	case PolicyModulo:
-		ps, total = l.origLUT.liveSet(set)
 		if total >= 1<<24 {
 			r = prng.Uintn(l.src, total)
 		} else {
 			r = (l.src.Uint64() & (1<<32 - 1)) % total
 		}
 	case PolicyRedraw:
-		ps, total = l.scaledLUT.liveSet(set)
 		r = l.word()
 		if r >= total {
 			l.redraws++
 			return NoWinner
 		}
 	case PolicyAbsorbLast:
-		ps, total = l.scaledLUT.liveSet(set)
 		r = l.word()
 		if r >= total {
 			return set.HighestSet()
 		}
 	default: // PolicyExact
-		ps, total = l.origLUT.liveSet(set)
 		r = prng.Uintn(l.src, total)
 	}
-	return selectWinner(ps, r)
+	// The winner's range contains r: the comparator row of the table,
+	// or the first crossing among the live requesters.
+	if lut.psums != nil {
+		return selectWinner(lut.psums[set[0]], r)
+	}
+	return crossing(lut.holdings, &set, r)
 }
 
 // word draws one RNG word in [0, 1<<width).
@@ -375,27 +368,15 @@ func selectWinner(psums []uint64, r uint64) int {
 	return NoWinner
 }
 
-// highestBit returns the index of the most significant set bit of mask.
-func highestBit(mask uint64) int {
-	hi := NoWinner
-	for i := 0; mask != 0; i++ {
-		if mask&1 == 1 {
-			hi = i
-		}
-		mask >>= 1
-	}
-	return hi
-}
-
 // DynamicLottery is the dynamically-configured lottery manager: ticket
 // holdings are inputs to every draw, so any master (or a host processor)
 // may re-provision bandwidth at run time.
 type DynamicLottery struct {
 	n      int
+	all    Bitset // the request map with every master pending
 	width  uint
 	policy SlackPolicy
 	src    prng.Source
-	psums  []uint64 // scratch
 
 	draws   uint64
 	redraws uint64
@@ -437,10 +418,10 @@ func NewDynamicLottery(cfg DynamicConfig) (*DynamicLottery, error) {
 	}
 	return &DynamicLottery{
 		n:      cfg.Masters,
+		all:    FullBitset(cfg.Masters),
 		width:  width,
 		policy: cfg.Policy,
 		src:    cfg.Source,
-		psums:  make([]uint64, cfg.Masters),
 	}, nil
 }
 
@@ -466,96 +447,36 @@ func (l *DynamicLottery) Redraws() uint64 { return l.redraws }
 // granting the lowest-indexed requester, so a misconfiguration cannot
 // deadlock the bus. Returns the winner index or NoWinner.
 func (l *DynamicLottery) Draw(mask uint64, tickets []uint64) int {
+	return l.DrawSet(Mask64Bitset(mask), tickets)
+}
+
+// DrawSet is Draw over a request map of any width. The AND stage and
+// adder tree (paper Fig. 10) run over the live requesters' set bits.
+func (l *DynamicLottery) DrawSet(set Bitset, tickets []uint64) int {
 	if len(tickets) != l.n {
 		panic(fmt.Sprintf("core: Draw with %d tickets for %d masters", len(tickets), l.n))
 	}
-	mask &= (uint64(1) << uint(l.n)) - 1
-	if mask == 0 {
+	if !set.within(&l.all) {
 		return NoWinner
 	}
-	// Bitwise-AND stage plus adder tree (paper Fig. 10).
-	var acc uint64
-	for i := 0; i < l.n; i++ {
-		if mask>>uint(i)&1 == 1 {
-			acc += tickets[i]
-		}
-		l.psums[i] = acc
-	}
-	total := acc
-	if total == 0 {
-		return lowestBit(mask)
-	}
-	if total >= uint64(1)<<l.width && l.policy != PolicyExact {
-		// The live total does not fit the RNG word; fall back to the
-		// exact path rather than produce garbage grants.
-		l.draws++
-		return selectWinner(l.psums, prng.Uintn(l.src, total))
-	}
-	l.draws++
-	var r uint64
-	switch l.policy {
-	case PolicyExact:
-		r = prng.Uintn(l.src, total)
-	case PolicyRedraw:
-		r = l.word()
-		if r >= total {
-			l.redraws++
-			return NoWinner
-		}
-	case PolicyAbsorbLast:
-		r = l.word()
-		if r >= total {
-			return highestBit(mask)
-		}
-	default: // PolicyModulo — the paper's dynamic manager hardware.
-		r = l.word() % total
-	}
-	return selectWinner(l.psums, r)
-}
-
-// DrawSet runs one lottery over the masters in set with the given live
-// ticket holdings — the wide-fabric entry point. For managers of at
-// most 64 masters it reduces to Draw(set.Mask64(), tickets): same PRNG
-// consumption, same winner. Beyond 64 masters the adder tree runs over
-// the full set.
-func (l *DynamicLottery) DrawSet(set Bitset, tickets []uint64) int {
-	if l.n <= 64 {
-		return l.Draw(set.Mask64(), tickets)
-	}
-	if len(tickets) != l.n {
-		panic(fmt.Sprintf("core: DrawSet with %d tickets for %d masters", len(tickets), l.n))
-	}
-	set.Trim(l.n)
-	if set.None() {
-		return NoWinner
-	}
-	var acc uint64
-	for i := 0; i < l.n; i++ {
-		if set.Test(i) {
-			acc += tickets[i]
-		}
-		l.psums[i] = acc
-	}
-	total := acc
+	total := liveTotal(tickets, &set)
 	if total == 0 {
 		return set.LowestSet()
 	}
-	if total >= uint64(1)<<l.width && l.policy != PolicyExact {
-		l.draws++
-		return selectWinner(l.psums, prng.Uintn(l.src, total))
-	}
 	l.draws++
 	var r uint64
-	switch l.policy {
-	case PolicyExact:
+	switch {
+	case l.policy == PolicyExact || total >= uint64(1)<<l.width:
+		// A live total that does not fit the RNG word falls back to the
+		// exact path rather than produce garbage grants.
 		r = prng.Uintn(l.src, total)
-	case PolicyRedraw:
+	case l.policy == PolicyRedraw:
 		r = l.word()
 		if r >= total {
 			l.redraws++
 			return NoWinner
 		}
-	case PolicyAbsorbLast:
+	case l.policy == PolicyAbsorbLast:
 		r = l.word()
 		if r >= total {
 			return set.HighestSet()
@@ -563,21 +484,11 @@ func (l *DynamicLottery) DrawSet(set Bitset, tickets []uint64) int {
 	default: // PolicyModulo — the paper's dynamic manager hardware.
 		r = l.word() % total
 	}
-	return selectWinner(l.psums, r)
+	return crossing(tickets, &set, r)
 }
 
 func (l *DynamicLottery) word() uint64 {
 	return l.src.Uint64() & (uint64(1)<<l.width - 1)
-}
-
-// lowestBit returns the index of the least significant set bit of mask.
-func lowestBit(mask uint64) int {
-	for i := 0; i < 64; i++ {
-		if mask>>uint(i)&1 == 1 {
-			return i
-		}
-	}
-	return NoWinner
 }
 
 // AccessProbability returns the probability that a master holding t of T

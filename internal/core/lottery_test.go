@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -512,17 +513,17 @@ func TestStarvationFreedomEmpirical(t *testing.T) {
 }
 
 func TestHighestLowestBit(t *testing.T) {
-	if highestBit(0) != NoWinner {
-		t.Fatal("highestBit(0)")
+	if Mask64Bitset(0).HighestSet() != NoWinner {
+		t.Fatal("HighestSet(0)")
 	}
-	if highestBit(0b1010) != 3 {
-		t.Fatal("highestBit(0b1010)")
+	if Mask64Bitset(0b1010).HighestSet() != 3 {
+		t.Fatal("HighestSet(0b1010)")
 	}
-	if lowestBit(0b1010) != 1 {
-		t.Fatal("lowestBit(0b1010)")
+	if Mask64Bitset(0b1010).LowestSet() != 1 {
+		t.Fatal("LowestSet(0b1010)")
 	}
-	if lowestBit(0) != NoWinner {
-		t.Fatal("lowestBit(0)")
+	if Mask64Bitset(0).LowestSet() != NoWinner {
+		t.Fatal("LowestSet(0)")
 	}
 }
 
@@ -588,5 +589,35 @@ func BenchmarkStaticDraw16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Draw(mask)
+	}
+}
+
+// BenchmarkDrawWide measures one static draw on a 64-master manager,
+// beyond the lookup table, with 1 to 4 live requesters spread over the
+// map and with every master requesting.
+func BenchmarkDrawWide(b *testing.B) {
+	const n = 64
+	tickets := make([]uint64, n)
+	for i := range tickets {
+		tickets[i] = uint64(i%4 + 1)
+	}
+	for _, live := range []int{1, 2, 3, 4, n} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			l, err := NewStaticLottery(StaticConfig{Tickets: tickets, Source: prng.NewXorShift64Star(1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var set Bitset
+			for k := 0; k < live; k++ {
+				set.Set(k * n / live)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if l.DrawSet(set) == NoWinner {
+					b.Fatal("no winner")
+				}
+			}
+		})
 	}
 }

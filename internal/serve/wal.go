@@ -83,7 +83,10 @@ func openWAL(dir string) (*wal, []walRecord, int64, error) {
 
 // readWAL parses the log, tolerating a truncated final line (the crash
 // may have landed mid-write; an unparseable tail is an unacknowledged
-// record, safe to drop).
+// record, safe to drop). Recovery compacts the log, so a torn record is
+// only ever the last one: an unparseable line with records after it is
+// corruption of an acknowledged record, and recovery fails naming it
+// rather than silently losing the job it may hold.
 func readWAL(path string) ([]walRecord, int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -98,14 +101,19 @@ func readWAL(path string) ([]walRecord, int64, error) {
 	var maxID int64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
+	torn := 0 // line number of an unparseable line, 0 when none
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
+		if torn > 0 {
+			return nil, 0, fmt.Errorf("serve: wal %s: line %d is corrupt and not the last record", path, torn)
+		}
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // truncated tail or torn write: unacknowledged, drop
+			torn = lineNo // dropped if nothing follows: a torn, unacknowledged tail
+			continue
 		}
 		if n, ok := numericID(rec.ID); ok && n > maxID {
 			maxID = n

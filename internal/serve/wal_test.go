@@ -176,3 +176,30 @@ func TestWALNilIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWALCorruptInteriorFailsRecovery: only the last record can be torn
+// by a crash, so an unparseable record with records after it is damage
+// to an acknowledged job. Recovery must refuse, naming the line, rather
+// than drop the job and carry on.
+func TestWALCorruptInteriorFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.wal")
+	content := `{"op":"accept","id":"j1","client":"a","replicate":1,"config":{"cycles":5}}` + "\n" +
+		`{"op":"accept","id":"j2","client":"a","replicate":1,"config":{"cycles":5}]` + "\n" + // corrupted
+		`{"op":"end","id":"j1","status":"done"}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, pending, _, err := openWAL(dir)
+	if err == nil {
+		w.close()
+		t.Fatalf("recovery succeeded with pending %+v; want an error naming line 2", pending)
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("error %q does not name line 2", err)
+	}
+	// The log is left as it was, for inspection.
+	if b, _ := os.ReadFile(path); string(b) != content {
+		t.Fatalf("failed recovery rewrote the log:\n%s", b)
+	}
+}

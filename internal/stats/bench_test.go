@@ -70,6 +70,26 @@ func BenchmarkHistogramAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramSparseTail times one Add of an outlier into a
+// histogram whose occupied buckets are too sparse for the dense range:
+// 4000 keys 97 buckets apart, the shape of per-word latencies on a
+// saturated bus, so every Add is a search of the sparse tail.
+func BenchmarkHistogramSparseTail(b *testing.B) {
+	samples := make([]float64, 4000)
+	for j := range samples {
+		samples[j] = float64(1000+97*j) / bucketsPerUnit
+	}
+	prng.Shuffle(prng.NewSplitMix64(3), samples)
+	h := NewHistogram()
+	for _, v := range samples {
+		h.Add(v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(samples[i%len(samples)])
+	}
+}
+
 // BenchmarkSnapshotEncode times encoding a served job's collector, the
 // cache's put path.
 func BenchmarkSnapshotEncode(b *testing.B) {

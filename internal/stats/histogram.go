@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -139,17 +138,31 @@ func (h *Histogram) addSparse(k int64) {
 }
 
 // findTail locates key k in the tail: the block i and offset j that
-// hold it, or where to insert it when found is false.
+// hold it, or where to insert it when found is false. Both steps are
+// typed lower-bound searches.
 func (h *Histogram) findTail(k int64) (i, j int, found bool) {
 	if len(h.tail) == 0 {
 		return 0, 0, false
 	}
-	i = sort.Search(len(h.tail)-1, func(i int) bool {
-		blk := h.tail[i]
-		return blk[len(blk)-1].key >= k
-	})
+	// The first block whose last key is at least k, else the last block:
+	// the answer is one of the len(h.tail) block indices.
+	for n := len(h.tail); n > 1; {
+		half := n >> 1
+		if blk := h.tail[i+half-1]; blk[len(blk)-1].key < k {
+			i += half
+		}
+		n -= half
+	}
+	// The first key in that block at least k, else the block's end: one
+	// of len(blk)+1 offsets.
 	blk := h.tail[i]
-	j = sort.Search(len(blk), func(j int) bool { return blk[j].key >= k })
+	for n := len(blk) + 1; n > 1; {
+		half := n >> 1
+		if blk[j+half-1].key < k {
+			j += half
+		}
+		n -= half
+	}
 	return i, j, j < len(blk) && blk[j].key == k
 }
 
