@@ -13,14 +13,16 @@ import (
 // rendered report and every per-master latency quantile at full
 // precision. Fingerprints alone do not pin these — a histogram change
 // that kept the fingerprint could still move a quantile or reorder
-// encoded buckets. The constants were cut from the map-backed histogram.
+// encoded buckets. The report and quantile constants were cut from the
+// map-backed histogram; the snapshot column from snapshot format
+// version 2.
 func TestSampleRunBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		seed                uint64
 		snap, report, dists uint64
 	}{
-		{seed: 42, snap: 0xd37fac85b0ad71e0, report: 0x74b5c98735cce3b5, dists: 0xec261f33ad703fa8},
-		{seed: 43, snap: 0x85bc82a94282d0d1, report: 0x7e7dff3d3291abf4, dists: 0x3818f6c8468f29d2},
+		{seed: 42, snap: 0xa82404e2d037f581, report: 0x74b5c98735cce3b5, dists: 0xec261f33ad703fa8},
+		{seed: 43, snap: 0xe7a96c075d06ddf2, report: 0x7e7dff3d3291abf4, dists: 0x3818f6c8468f29d2},
 	} {
 		cfg := simcfg.SampleConfig()
 		cfg.Seed = tc.seed

@@ -65,11 +65,11 @@ import (
 // contract): an optional generator extension that predicts arrival
 // cycles, letting the bus skip cycles on which no message can arrive.
 // NextArrival(cycle) returns the earliest cycle >= cycle at which the
-// generator's Tick may emit, or math.MaxInt64 for "never"; SkipTo(cycle)
-// notifies the generator that the intermediate cycles were skipped.
+// generator's Tick may emit, or math.MaxInt64 for "never". Skipped
+// cycles need no notice: a leap never passes a master's cached next
+// arrival, so no Tick it skips could have emitted.
 type Scheduler interface {
 	NextArrival(cycle int64) int64
-	SkipTo(cycle int64)
 }
 
 // Saturator is the optional generator extension of traffic.Saturating:
@@ -254,11 +254,6 @@ func (b *Bus) runFast(end int64, col *stats.Collector) error {
 				if target := min(limit(), b.arrMin, b.nextSplitReady()); target > cycle {
 					col.AdvanceCycles(target - cycle)
 					b.ffCycles += target - cycle - 1
-					for _, s := range b.scheds {
-						if s != nil {
-							s.SkipTo(target)
-						}
-					}
 					b.cycle = target
 					continue
 				}

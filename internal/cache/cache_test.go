@@ -205,6 +205,52 @@ func TestCorruptDiskEntriesMiss(t *testing.T) {
 	}
 }
 
+// TestVersion1EntryResimulates replays a cache directory written before
+// snapshot format version 2: testdata/snapshot-v1.bin is testCollector(4)
+// as the version-1 codec encoded it. The entry is evicted and counted
+// as a miss, the point is recomputed, and the slot is rewritten in the
+// current format.
+func TestVersion1EntryResimulates(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "snapshot-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stats.DecodeSnapshot(v1); !errors.Is(err, stats.ErrSnapshotVersion) {
+		t.Fatalf("version-1 snapshot decoded with %v, want ErrSnapshotVersion", err)
+	}
+	dir := t.TempDir()
+	key := testKey(4)
+	path := filepath.Join(dir, key.String()+snapshotExt)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(dir)
+	computed := 0
+	got, src, err := c.GetOrCompute(key, func() (*stats.Collector, error) {
+		computed++
+		return testCollector(4), nil
+	})
+	if err != nil || src != SourceComputed || computed != 1 {
+		t.Fatalf("src=%v computed=%d err=%v, want one recomputation", src, computed, err)
+	}
+	if s := c.Stats(); s.Evictions != 1 || s.Misses != 1 || s.Hits() != 0 {
+		t.Fatalf("stats: %+v, want 1 eviction and 1 miss", s)
+	}
+	if got.Fingerprint() != testCollector(4).Fingerprint() {
+		t.Fatal("recomputed fingerprint differs")
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil || rewritten[4] != stats.SnapshotVersion {
+		t.Fatalf("slot not rewritten in version %d (err %v)", stats.SnapshotVersion, err)
+	}
+	if len(rewritten) >= len(v1) {
+		t.Fatalf("rewritten entry %d bytes, version-1 entry %d", len(rewritten), len(v1))
+	}
+	if _, src, _ := New(dir).Get(key); src != SourceDisk {
+		t.Fatalf("rewritten entry src=%v, want disk", src)
+	}
+}
+
 // TestSingleflight proves one simulation per distinct key: many
 // concurrent GetOrCompute callers on the same key share a single
 // compute, and every caller observes the same result.

@@ -69,7 +69,9 @@ func RunReplay(o Options) (*Replay, error) {
 	}
 	weights := []uint64{1, 2, 3, 4}
 
-	// Record the workload once.
+	// Record the workload once, event to event: under the Scheduler
+	// contract, ticking only at each NextArrival emits exactly what
+	// ticking every cycle would.
 	traces := make([]*traffic.Trace, fourMasters)
 	for i := range traces {
 		gen, err := class.Generator(i, 0, prng.Derive(o.Seed, "replay"))
@@ -77,7 +79,7 @@ func RunReplay(o Options) (*Replay, error) {
 			return nil, err
 		}
 		rec := traffic.NewRecorder(gen)
-		for c := int64(0); c < o.Cycles; c++ {
+		for c := rec.NextArrival(0); c < o.Cycles; c = rec.NextArrival(c + 1) {
 			rec.Tick(c, 0, func(int, int) {})
 		}
 		traces[i] = &rec.Trace

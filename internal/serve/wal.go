@@ -56,22 +56,8 @@ func openWAL(dir string) (*wal, []walRecord, int64, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Compact: rewrite only the pending accepts, atomically, then append
-	// from the compacted file.
-	tmp := path + ".tmp"
-	var buf bytes.Buffer
-	for _, rec := range pending {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("serve: wal compact: %w", err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: wal compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	// Compact, then append from the compacted file.
+	if err := compactWAL(path, pending); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: wal compact: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -79,6 +65,56 @@ func openWAL(dir string) (*wal, []walRecord, int64, error) {
 		return nil, nil, 0, fmt.Errorf("serve: wal open: %w", err)
 	}
 	return &wal{f: f, path: path}, pending, maxID, nil
+}
+
+// compactWAL rewrites the log at path to hold only the pending
+// accepts, durably: the new log is written to a temp file and fsynced
+// before the rename replaces the old one, and the directory is fsynced
+// after it. A power loss then leaves the old log or the complete new
+// one under path, never a renamed file whose data had not reached the
+// disk — which would come back empty and lose every pending job.
+func compactWAL(path string, pending []walRecord) error {
+	var buf bytes.Buffer
+	for _, rec := range pending {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf.Bytes())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readWAL parses the log, tolerating a truncated final line (the crash

@@ -203,3 +203,75 @@ func TestWALCorruptInteriorFailsRecovery(t *testing.T) {
 		t.Fatalf("failed recovery rewrote the log:\n%s", b)
 	}
 }
+
+// TestWALCompactionSurvivesRestart restarts twice: the first open
+// compacts the log to its pending accepts, and the second must recover
+// every one of them from the compacted file alone, as must a third
+// after a job was accepted on top of it. A compaction that cannot
+// write its temp file fails the open and leaves the log as it was.
+func TestWALCompactionSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.wal")
+	w, _, _, err := openWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		job := &Job{ID: fmt.Sprintf("j%d", i), Client: "a", Replicate: i, Canonical: []byte(fmt.Sprintf(`{"cycles":%d}`, i))}
+		if err := w.appendAccept(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"j2", "j4"} {
+		if err := w.appendEnd(id, StateDone, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopen := func(want ...string) *wal {
+		t.Helper()
+		w, pending, _, err := openWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, rec := range pending {
+			got = append(got, rec.ID)
+			if want := fmt.Sprintf(`{"cycles":%s}`, rec.ID[1:]); string(rec.Config) != want || rec.Client != "a" {
+				t.Fatalf("recovered %s with client %q config %s, want a and %s", rec.ID, rec.Client, rec.Config, want)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("pending %v, want %v", got, want)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("compaction left its temp file behind (stat err %v)", err)
+		}
+		return w
+	}
+	reopen("j1", "j3").close() // compacts
+	w = reopen("j1", "j3")     // reads the compacted log
+	if err := w.appendAccept(&Job{ID: "j5", Client: "a", Replicate: 5, Canonical: []byte(`{"cycles":5}`)}); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	reopen("j1", "j3", "j5").close()
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil { // the temp file cannot be created
+		t.Fatal(err)
+	}
+	if w, _, _, err := openWAL(dir); err == nil {
+		w.close()
+		t.Fatal("open succeeded although compaction could not write its temp file")
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatalf("failed compaction changed the log:\n%s", after)
+	}
+}

@@ -27,6 +27,9 @@ type Histogram struct {
 	// ascending key order, split into blocks of at most 2*tailBlock so
 	// inserting an outlier moves a block, not the whole tail.
 	tail [][]bucket
+	// tailLast[i] is the last key of tail[i]: the block search reads
+	// this one contiguous slice instead of a cache line per block.
+	tailLast []int64
 	// occupied counts the buckets with a nonzero count, dense and tail;
 	// it bounds len(dense) (see denseLimit).
 	occupied int64
@@ -126,6 +129,7 @@ func (h *Histogram) addSparse(k int64) {
 	}
 	if len(h.tail) == 0 {
 		h.tail = [][]bucket{{{k, 1}}}
+		h.tailLast = []int64{k}
 		return
 	}
 	blk := slices.Insert(h.tail[i], j, bucket{k, 1})
@@ -133,24 +137,28 @@ func (h *Histogram) addSparse(k int64) {
 		hi := append([]bucket(nil), blk[tailBlock:]...)
 		blk = blk[:tailBlock]
 		h.tail = slices.Insert(h.tail, i+1, hi)
+		h.tailLast = slices.Insert(h.tailLast, i+1, hi[len(hi)-1].key)
 	}
 	h.tail[i] = blk
+	h.tailLast[i] = blk[len(blk)-1].key
 }
 
 // findTail locates key k in the tail: the block i and offset j that
 // hold it, or where to insert it when found is false. Both steps are
-// typed lower-bound searches.
+// typed lower-bound searches, and both are branch-free: keys lie in
+// [0, maxBucket), so key-k is negative exactly when key < k and its
+// sign bit, spread by the shift, masks the step. A branch here would
+// be mispredicted on half the probes of a random key.
 func (h *Histogram) findTail(k int64) (i, j int, found bool) {
 	if len(h.tail) == 0 {
 		return 0, 0, false
 	}
 	// The first block whose last key is at least k, else the last block:
 	// the answer is one of the len(h.tail) block indices.
-	for n := len(h.tail); n > 1; {
+	last := h.tailLast
+	for n := len(last); n > 1; {
 		half := n >> 1
-		if blk := h.tail[i+half-1]; blk[len(blk)-1].key < k {
-			i += half
-		}
+		i += half & int((last[i+half-1]-k)>>63)
 		n -= half
 	}
 	// The first key in that block at least k, else the block's end: one
@@ -158,9 +166,7 @@ func (h *Histogram) findTail(k int64) (i, j int, found bool) {
 	blk := h.tail[i]
 	for n := len(blk) + 1; n > 1; {
 		half := n >> 1
-		if blk[j+half-1].key < k {
-			j += half
-		}
+		j += half & int((blk[j+half-1].key-k)>>63)
 		n -= half
 	}
 	return i, j, j < len(blk) && blk[j].key == k
@@ -185,6 +191,7 @@ func (h *Histogram) growDense(n int64) {
 		drop++
 	}
 	h.tail = slices.Delete(h.tail, 0, drop)
+	h.tailLast = slices.Delete(h.tailLast, 0, drop)
 }
 
 // each calls fn for every occupied bucket in ascending key order.

@@ -142,23 +142,47 @@ func (h *refHistogram) fingerprint(x uint64) uint64 {
 	return x
 }
 
+// appendSnapshot is the version-2 histogram encoding written from the
+// format description, independently of the codec: varints by hand, and
+// the keys from a sorted copy of the map.
 func (h *refHistogram) appendSnapshot(buf []byte) []byte {
-	buf = appendU64(buf, uint64(h.count))
-	buf = appendU64(buf, math.Float64bits(h.mean))
-	buf = appendU64(buf, math.Float64bits(h.m2))
-	buf = appendU64(buf, math.Float64bits(h.min))
-	buf = appendU64(buf, math.Float64bits(h.max))
-	buf = appendU64(buf, uint64(h.overflow))
-	buf = appendU64(buf, uint64(h.underflow))
+	uvarint := func(v uint64) {
+		for v >= 0x80 {
+			buf = append(buf, byte(v)|0x80)
+			v >>= 7
+		}
+		buf = append(buf, byte(v))
+	}
+	zigzag := func(v int64) {
+		if v < 0 {
+			uvarint(2*uint64(-(v+1)) + 1)
+		} else {
+			uvarint(2 * uint64(v))
+		}
+	}
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			buf = append(buf, byte(v>>(8*i)))
+		}
+	}
+	zigzag(h.count)
+	word(math.Float64bits(h.mean))
+	word(math.Float64bits(h.m2))
+	word(math.Float64bits(h.min))
+	word(math.Float64bits(h.max))
+	zigzag(h.overflow)
+	zigzag(h.underflow)
 	keys := make([]int64, 0, len(h.buckets))
 	for k := range h.buckets {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	buf = appendU64(buf, uint64(len(keys)))
+	uvarint(uint64(len(keys)))
+	prev := int64(-1)
 	for _, k := range keys {
-		buf = appendU64(buf, uint64(k))
-		buf = appendU64(buf, uint64(h.buckets[k]))
+		uvarint(uint64(k - prev - 1))
+		uvarint(uint64(h.buckets[k]))
+		prev = k
 	}
 	return buf
 }
@@ -223,6 +247,14 @@ var refQuantiles = []float64{math.NaN(), -1, 0, 1e-6, 0.001, 0.01, 0.1, 0.25, 0.
 // does, quantiles over the ascending grid qs.
 func requireRefEqual(t *testing.T, what string, h *Histogram, r *refHistogram, qs []float64) {
 	t.Helper()
+	if len(h.tailLast) != len(h.tail) {
+		t.Fatalf("%s: %d tail blocks, %d indexed", what, len(h.tail), len(h.tailLast))
+	}
+	for i, blk := range h.tail {
+		if h.tailLast[i] != blk[len(blk)-1].key {
+			t.Fatalf("%s: tail block %d ends at key %d, indexed as %d", what, i, blk[len(blk)-1].key, h.tailLast[i])
+		}
+	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	walked := make([]float64, len(qs))
 	h.quantiles(qs, walked)

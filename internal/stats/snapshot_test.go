@@ -2,8 +2,10 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -72,11 +74,38 @@ func snapVariants() map[string]*Collector {
 	}
 }
 
+// edgeCollector holds the two extreme bucket keys, 0 and maxBucket-1:
+// the largest key gap a snapshot can carry.
+func edgeCollector() *Collector {
+	c := NewCollector(1)
+	c.hist[0].Add(0)
+	c.hist[0].Add((maxBucket - 0.5) / bucketsPerUnit)
+	return c
+}
+
+// snapSeeds is snapVariants plus a served job's collector (dense
+// prefix and a sparse tail) and the edge collector.
+func snapSeeds() map[string]*Collector {
+	seeds := snapVariants()
+	seeds["serve job"] = serveJobCollector()
+	seeds["edge"] = edgeCollector()
+	return seeds
+}
+
+// resum rewrites a snapshot's trailing checksum over its (edited)
+// body, so a test edit is caught by the structural checks or not at
+// all.
+func resum(enc []byte) []byte {
+	body := append([]byte(nil), enc[:len(enc)-8]...)
+	return binary.LittleEndian.AppendUint64(body, fnvBytes(body))
+}
+
 // TestSnapshotRoundTrip proves encode/decode bit-identical: the decoded
 // collector fingerprints equal and re-encodes to the same bytes, for
-// fault-free, faulty, underflowing and empty collectors alike.
+// fault-free, faulty, underflowing and empty collectors, a served
+// job's and the edge collector alike.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for name, c := range snapVariants() {
+	for name, c := range snapSeeds() {
 		enc := c.EncodeSnapshot()
 		if !bytes.Equal(enc, c.EncodeSnapshot()) {
 			t.Fatalf("%s: EncodeSnapshot is not deterministic", name)
@@ -91,6 +120,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(dec.EncodeSnapshot(), enc) {
 			t.Fatalf("%s: re-encoded snapshot differs from original", name)
+		}
+		if len(enc) != cap(enc) {
+			t.Fatalf("%s: snapshot len %d, cap %d; want an exactly sized buffer", name, len(enc), cap(enc))
 		}
 		// Fields outside the Fingerprint must round-trip too.
 		for m := 0; m < c.N(); m++ {
@@ -158,19 +190,84 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotSize bounds a served job's snapshot: version 1 spent
+// about 27 KB on it, 16 bytes per occupied bucket.
+func TestSnapshotSize(t *testing.T) {
+	const limit = 8 << 10
+	if enc := serveJobCollector().EncodeSnapshot(); len(enc) > limit {
+		t.Fatalf("served job's snapshot is %d bytes, want at most %d", len(enc), limit)
+	}
+}
+
+// splice replaces the byte at off with the bytes with and fixes up the
+// checksum.
+func splice(enc []byte, off int, with ...byte) []byte {
+	return resum(append(append(append([]byte(nil), enc[:off]...), with...), enc[off+1:]...))
+}
+
+// overlong re-encodes the one-byte varint at off in two bytes: the same
+// value with a 0x00 continuation.
+func overlong(enc []byte, off int) []byte { return splice(enc, off, enc[off]|0x80, 0) }
+
+// TestSnapshotRejectsNonCanonical proves the structural checks stand
+// on their own: each edit below keeps the checksum valid (and, for the
+// varints, the decoded values too), so only the check it targets can
+// reject it.
+func TestSnapshotRejectsNonCanonical(t *testing.T) {
+	// One master, cycles = 5, empty histogram: "LBSC", the version, n
+	// at offset 5, cycles at 6, and the bucket count the last byte
+	// before the fingerprint and checksum.
+	plain := NewCollector(1)
+	plain.AdvanceCycles(5)
+	enc := plain.EncodeSnapshot()
+	if enc[6] != 10 {
+		t.Fatalf("cycles byte %d, want zigzag(5) = 10", enc[6])
+	}
+	nb := len(enc) - 17
+	if enc[nb] != 0 {
+		t.Fatalf("bucket count byte %d, want 0", enc[nb])
+	}
+	if _, err := DecodeSnapshot(resum(enc)); err != nil {
+		t.Fatalf("resum broke a valid snapshot: %v", err)
+	}
+
+	// The edge collector's second bucket gap is maxBucket-2, a 3-byte
+	// uvarint followed by the count 1 and the trailer.
+	edge := edgeCollector().EncodeSnapshot()
+	gap := len(edge) - 16 - 1 - 3
+	if got, n := binary.Uvarint(edge[gap:]); got != maxBucket-2 || n != 3 {
+		t.Fatalf("edge gap %d (%d bytes), want %d in 3", got, n, maxBucket-2)
+	}
+	pastRange := append([]byte(nil), edge...)
+	binary.PutUvarint(pastRange[gap:], maxBucket-1)
+
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"overlong n", "non-minimal", overlong(enc, 5)},
+		{"overlong cycles", "non-minimal", overlong(enc, 6)},
+		{"overlong bucket count", "non-minimal", overlong(enc, nb)},
+		{"eleven-byte varint", "overlong varint", splice(enc, 6, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0)},
+		{"varint past 64 bits", "non-minimal or overflowing", splice(enc, 6, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02)},
+		{"key gap past maxBucket", "past the bucket range", resum(pastRange)},
+		// 16 trailer bytes follow the count: room for at most 8 buckets.
+		{"bucket count past the data", "exceeds remaining data", splice(enc, nb, 9)},
+		{"huge bucket count", "exceeds remaining data", splice(enc, nb, 0x80, 0x80, 0x80, 0x80, 0x01)},
+	} {
+		_, err := DecodeSnapshot(tc.data)
+		if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want a corrupt-snapshot error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzDecodeSnapshot fuzzes the decoder: it must never panic, and any
 // input it accepts must re-encode to exactly the input bytes (the
 // encoding is canonical, so decode∘encode is the identity on valid
 // snapshots) and answer every histogram query without panicking.
 func FuzzDecodeSnapshot(f *testing.F) {
-	edge := NewCollector(1)
-	edge.hist[0].Add(0)
-	edge.hist[0].Add((maxBucket - 1) / bucketsPerUnit)
-	seeds := []*Collector{serveJobCollector(), edge}
-	for _, c := range snapVariants() {
-		seeds = append(seeds, c)
-	}
-	for _, c := range seeds {
+	for _, c := range snapSeeds() {
 		enc := c.EncodeSnapshot()
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
@@ -180,6 +277,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		ver := append([]byte(nil), enc...)
 		ver[4] = SnapshotVersion + 1
 		f.Add(ver)
+		f.Add(overlong(enc, 5)) // the master count, stretched to two bytes
 	}
 	f.Add([]byte(snapshotMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {

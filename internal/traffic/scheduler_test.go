@@ -12,18 +12,14 @@ type schedGen interface {
 }
 
 // collectEvents drives a Scheduler generator the way the fast-forward
-// engine does: jump from NextArrival to NextArrival, Tick only at the
-// arrival cycles, SkipTo across the gaps.
+// engine does: jump from NextArrival to NextArrival and Tick only at
+// the arrival cycles.
 func collectEvents(gen schedGen, n int64) []Arrival {
 	var out []Arrival
 	for c := int64(0); c < n; {
 		na := gen.NextArrival(c)
 		if na >= n {
-			gen.SkipTo(n)
 			break
-		}
-		if na > c {
-			gen.SkipTo(na)
 		}
 		gen.Tick(na, 0, func(words, slave int) {
 			out = append(out, Arrival{Cycle: na, Words: words, Slave: slave})
@@ -81,7 +77,7 @@ func schedCases(t *testing.T) map[string][2]schedGen {
 }
 
 // TestSchedulerMatchesTicking proves the Scheduler contract: driving a
-// generator event to event (NextArrival/SkipTo/Tick-at-arrival) yields
+// generator event to event (NextArrival, then Tick at the arrival) yields
 // exactly the arrival sequence of per-cycle ticking an identically
 // seeded twin. This is the generator half of the bus fast-forward
 // engine's bit-equivalence guarantee.
@@ -175,5 +171,4 @@ func TestRecorderConservativeWithoutScheduler(t *testing.T) {
 			t.Fatalf("NextArrival(%d) = %d, want %d", c, got, c)
 		}
 	}
-	r.SkipTo(100) // must not panic
 }

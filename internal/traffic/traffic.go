@@ -27,15 +27,14 @@ const Never = int64(math.MaxInt64)
 //     must not advance PRNG state beyond what scheduling that arrival
 //     requires, so calling it any number of times — or never — leaves the
 //     emitted arrival sequence unchanged.
-//   - SkipTo(cycle) tells the generator the bus fast-forwarded to cycle
-//     without calling Tick for the intermediate (arrival-free) cycles.
+//   - Tick is a no-op on every cycle before NextArrival's answer, so a
+//     caller may skip those cycles without telling the generator.
 //
 // Saturating, whose emissions depend on the live queue depth, joins the
 // fast path through bus.Saturator instead (see Depth). A generator that
 // implements neither falls back to the naive per-cycle loop.
 type Scheduler interface {
 	NextArrival(cycle int64) int64
-	SkipTo(cycle int64)
 }
 
 // nextBernoulliArrival returns the cycle of the first arrival of a
@@ -175,9 +174,6 @@ func (p *Periodic) NextArrival(cycle int64) int64 {
 	return p.Phase + k*p.Period
 }
 
-// SkipTo is a no-op: the beat is a pure function of the cycle.
-func (p *Periodic) SkipTo(int64) {}
-
 // Bernoulli emits messages as a Bernoulli arrival process: each cycle a
 // message arrives with probability Rate/Size.Mean(), giving an offered
 // load of Rate words per cycle on average.
@@ -246,9 +242,6 @@ func (b *Bernoulli) NextArrival(cycle int64) int64 {
 	b.ensure(cycle)
 	return b.next
 }
-
-// SkipTo is a no-op: the arrival schedule is already event-indexed.
-func (b *Bernoulli) SkipTo(int64) {}
 
 // OnOff is a two-state Markov-modulated generator: in the ON state it
 // emits like a Bernoulli generator with the burst-local load; in OFF it
@@ -397,9 +390,6 @@ func (o *OnOff) NextArrival(cycle int64) int64 {
 	return o.next
 }
 
-// SkipTo is a no-op: the window chain is already event-indexed.
-func (o *OnOff) SkipTo(int64) {}
-
 // Arrival is one recorded message arrival.
 type Arrival struct {
 	Cycle int64
@@ -440,14 +430,6 @@ func (t *Trace) NextArrival(cycle int64) int64 {
 		return Never
 	}
 	return t.Arrivals[t.next].Cycle
-}
-
-// SkipTo drops recorded arrivals before cycle, mirroring what per-cycle
-// Ticks over the skipped range would have done.
-func (t *Trace) SkipTo(cycle int64) {
-	for t.next < len(t.Arrivals) && t.Arrivals[t.next].Cycle < cycle {
-		t.next++
-	}
 }
 
 // Recorder wraps a generator, recording everything it emits. Use it to
@@ -497,11 +479,4 @@ func (r *Recorder) NextArrival(cycle int64) int64 {
 		return s.NextArrival(cycle)
 	}
 	return cycle
-}
-
-// SkipTo forwards to the wrapped generator when it implements Scheduler.
-func (r *Recorder) SkipTo(cycle int64) {
-	if s, ok := r.Inner.(Scheduler); ok {
-		s.SkipTo(cycle)
-	}
 }
