@@ -12,6 +12,10 @@
 //	lotterysim -config system.json -cpuprofile cpu.pb.gz
 //	lotterysim -config system.json -replicate 8 -check
 //
+// Every configuration simulates, including one the regime classifier
+// (internal/analytic) proves idle or saturated: its closed forms are
+// checks on the simulator, never a substitute for a run.
+//
 // With -check, every finished replica is audited against the simulator's
 // conservation and accounting invariants (internal/check); violations
 // print to stderr, are journaled, and make the process exit 1.
@@ -43,12 +47,10 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"lotterybus"
-	"lotterybus/internal/analytic"
 	"lotterybus/internal/cache"
 	"lotterybus/internal/obs"
 	"lotterybus/internal/prof"
@@ -75,7 +77,6 @@ func realMain() (code int) {
 	vcdPath := flag.String("vcd", "", "write a VCD waveform of the run to this path")
 	waveform := flag.Int("waveform", 0, "print an ASCII waveform of the first N cycles")
 	replicate := flag.Int("replicate", 1, "run N seed-replicas of the configuration (seed, seed+1, ...)")
-	noAnalytic := flag.Bool("no-analytic", false, "always simulate, even when the regime classifier proves the result in closed form")
 	parallel := flag.Int("parallel", 0,
 		"replica workers (0 = $"+runner.EnvVar+" then GOMAXPROCS, 1 = serial)")
 	audit := flag.Bool("check", false, "audit conservation/accounting invariants after each replica; any violation exits 1")
@@ -186,21 +187,6 @@ func realMain() (code int) {
 		var cancelRun context.CancelFunc
 		runCtx, cancelRun = context.WithTimeout(runCtx, *deadline)
 		defer cancelRun()
-	}
-
-	// Analytic short-circuit: when the regime classifier proves the
-	// point idle or saturated, the long-run statistics are known in
-	// closed form within the saturation oracle's tolerance — print them
-	// and skip the simulation. Flags that exist to observe a real run
-	// (-check, -vcd, -waveform, -listen) force simulation, as does
-	// -no-analytic (the A/B switch).
-	if !*noAnalytic && !tracing && !*audit && *listen == "" {
-		if pt, ok := cfg.AnalyticPoint(); ok {
-			if out, hit := analyticShortCircuit(cfg, pt, *replicate, j); hit {
-				fmt.Print(out)
-				return serveUntilInterrupt(srv, 0)
-			}
-		}
 	}
 
 	reps, err := cfg.BuildReplicas(n)
@@ -323,49 +309,6 @@ func finishRun(rc *cache.Cache, reg *obs.Registry, srv *obs.Server, code int) in
 			s.Hits(), s.MemoryHits, s.DiskHits, s.Misses, s.Evictions, s.BytesRead, s.BytesWritten)
 	}
 	return serveUntilInterrupt(srv, code)
-}
-
-// analyticShortCircuit classifies the configured point; when it is
-// provably idle or saturated it journals the skip and returns the
-// closed-form report and true. A Mixed classification returns false —
-// the caller simulates as usual.
-func analyticShortCircuit(cfg *simcfg.SimConfig, pt analytic.Point, replicas int, j *obs.Journal) (string, bool) {
-	regime := analytic.Classify(pt)
-	var b strings.Builder
-	switch regime {
-	case analytic.Idle:
-		fmt.Fprintf(&b, "regime: idle — every master provably offers zero load; simulation skipped (rerun with -no-analytic to simulate)\n")
-		fmt.Fprintf(&b, "%s over %d cycles: utilization 0.0%%, no words move\n",
-			pt.Arbiter, cfg.Cycles)
-		j.Emit("analytic_shortcircuit", map[string]any{
-			"regime": regime.String(), "replicas": replicas,
-		})
-	case analytic.Saturated:
-		shares, tol, err := analytic.SaturatedShares(pt)
-		if err != nil {
-			return "", false // Classify and SaturatedShares disagree; simulate
-		}
-		fmt.Fprintf(&b, "regime: saturated — oracle-proven closed form, simulation skipped (rerun with -no-analytic to simulate)\n")
-		fmt.Fprintf(&b, "%s over %d cycles: utilization 100.0%%, shares within ±%.2f\n",
-			pt.Arbiter, cfg.Cycles, tol)
-		fmt.Fprintf(&b, "  %-8s %-7s %-7s %s\n", "master", "weight", "share", "cyc/word")
-		for i, m := range cfg.Masters {
-			perWord := "inf"
-			if shares[i] > 0 {
-				perWord = fmt.Sprintf("%.2f", analytic.SaturatedPerWordLatency(shares[i]))
-			}
-			fmt.Fprintf(&b, "  %-8s %-7d %-7.3f %s\n", m.Name, pt.Weights[i], shares[i], perWord)
-		}
-		j.Emit("analytic_shortcircuit", map[string]any{
-			"regime": regime.String(), "replicas": replicas, "tolerance": tol,
-		})
-	default:
-		return "", false
-	}
-	if replicas > 1 {
-		fmt.Fprintf(&b, "(one block for all %d replicas: the regime is seed-independent)\n", replicas)
-	}
-	return b.String(), true
 }
 
 // reportViolations prints one replica's invariant violations to stderr,

@@ -26,22 +26,22 @@ func TestMain(m *testing.M) {
 }
 
 // runMain runs lotterysim with args in a child process and returns its
-// stderr and exit code.
-func runMain(t *testing.T, args ...string) (string, int) {
+// stdout, stderr and exit code.
+func runMain(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if errors.As(err, &exit) {
-		return stderr.String(), exit.ExitCode()
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stderr.String(), 0
+	return stdout.String(), stderr.String(), 0
 }
 
 // writeConfig writes cfg as a JSON file and returns its path.
@@ -59,8 +59,8 @@ func writeConfig(t *testing.T, cfg *simcfg.SimConfig) string {
 }
 
 // TestSeedZeroReplicas pins the replica seed rule: at seed 0 several
-// replicas are rejected — also for a saturated config the analytic
-// short-circuit would otherwise answer — while one replica runs.
+// replicas are rejected — for a mixed and a saturated config alike —
+// while one replica runs.
 func TestSeedZeroReplicas(t *testing.T) {
 	sample := simcfg.SampleConfig()
 	sample.Cycles = 2000
@@ -75,11 +75,59 @@ func TestSeedZeroReplicas(t *testing.T) {
 	for name, cfg := range map[string]*simcfg.SimConfig{"sample": sample, "saturated": saturated} {
 		cfg.Seed = 0
 		path := writeConfig(t, cfg)
-		if stderr, code := runMain(t, "-config", path, "-replicate", "2"); code == 0 || !strings.Contains(stderr, "seed") {
+		if _, stderr, code := runMain(t, "-config", path, "-replicate", "2"); code == 0 || !strings.Contains(stderr, "seed") {
 			t.Errorf("%s: seed 0 -replicate 2 exited %d with %q, want a seed rejection", name, code, stderr)
 		}
-		if stderr, code := runMain(t, "-config", path); code != 0 {
+		if _, stderr, code := runMain(t, "-config", path); code != 0 {
 			t.Errorf("%s: seed 0 single replica exited %d: %s", name, code, stderr)
+		}
+	}
+}
+
+// TestProvableConfigsSimulate pins that every config simulates: one the
+// regime classifier proves saturated or idle prints the simulator's
+// report, the same bytes a direct parse, Build, Run and Report give.
+func TestProvableConfigsSimulate(t *testing.T) {
+	withTraffic := func(tc simcfg.TrafficConfig) *simcfg.SimConfig {
+		cfg := simcfg.SampleConfig()
+		cfg.Cycles = 20000
+		for i := range cfg.Masters {
+			cfg.Masters[i].Traffic = tc
+		}
+		return cfg
+	}
+	for name, cfg := range map[string]*simcfg.SimConfig{
+		"saturated": withTraffic(simcfg.TrafficConfig{Kind: "saturating", MsgWords: 16}),
+		"idle":      withTraffic(simcfg.TrafficConfig{Kind: "none"}),
+	} {
+		path := writeConfig(t, cfg)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := simcfg.ParseConfig(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := parsed.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run(parsed.Cycles); err != nil {
+			t.Fatal(err)
+		}
+		want := sys.ReportFor(sys.Collector()).String() + "\n"
+
+		stdout, stderr, code := runMain(t, "-config", path)
+		if code != 0 {
+			t.Fatalf("%s: exited %d: %s", name, code, stderr)
+		}
+		if strings.Contains(stdout, "simulation skipped") {
+			t.Errorf("%s: closed form printed instead of a simulation:\n%s", name, stdout)
+		}
+		if stdout != want {
+			t.Errorf("%s: stdout\n%s\nwant the simulator's report\n%s", name, stdout, want)
 		}
 	}
 }
@@ -90,10 +138,10 @@ func TestNegativeReplicateIsUsageError(t *testing.T) {
 	cfg := simcfg.SampleConfig()
 	cfg.Cycles = 2000
 	path := writeConfig(t, cfg)
-	if stderr, code := runMain(t, "-config", path, "-replicate", "-3"); code != 2 || !strings.Contains(stderr, "-replicate") {
+	if _, stderr, code := runMain(t, "-config", path, "-replicate", "-3"); code != 2 || !strings.Contains(stderr, "-replicate") {
 		t.Errorf("-replicate -3 exited %d with %q, want usage error 2", code, stderr)
 	}
-	if stderr, code := runMain(t, "-config", path, "-replicate", "0"); code != 0 {
+	if _, stderr, code := runMain(t, "-config", path, "-replicate", "0"); code != 0 {
 		t.Errorf("-replicate 0 exited %d: %s", code, stderr)
 	}
 }

@@ -8,14 +8,13 @@
 //	           slack|pipeline|compensation|burst|models|tail|replay|split|scale|cmp64|adaptation|
 //	           wrr|regimes|degradation|babble]
 //	          [-cycles N] [-seed S] [-parallel W] [-csv DIR]
-//	          [-no-analytic]
 //	          [-cache-dir DIR] [-no-cache]
 //	          [-journal FILE] [-progress]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// With -no-analytic, sweep points the regime classifier proves in closed
-// form (see the "regimes" section) are simulated anyway and the share
-// error against the closed form is reported.
+// Every section simulates its points. The one exception is the
+// "regimes" section, the regime classifier's own exhibit: points it
+// proves idle or saturated show their closed forms, labelled as such.
 //
 // With -cache-dir DIR, the cache-wired sweeps (Figs. 4, 6a, 6b, 12a,
 // 12b, 12b1, 12c) resolve each point through a content-addressed result
@@ -63,7 +62,6 @@ func realMain() (code int) {
 	parallel := flag.Int("parallel", 0,
 		"sweep workers (0 = $"+runner.EnvVar+" then GOMAXPROCS, 1 = serial); results are identical for any value")
 	csvDir := flag.String("csv", "", "also write each table/figure as CSV into this directory")
-	noAnalytic := flag.Bool("no-analytic", false, "disable the analytic short-circuit: simulate every sweep point and report the share error against the closed forms")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory: sweep points whose key is already stored replay from the cache instead of simulating")
 	noCache := flag.Bool("no-cache", false, "ignore -cache-dir and always simulate (the cache A/B switch)")
 	journalPath := flag.String("journal", "", "append structured JSONL run events to this file")
@@ -103,7 +101,7 @@ func realMain() (code int) {
 		attachHeartbeat(j, os.Stderr)
 	}
 
-	o := expt.Options{Cycles: *cycles, Seed: *seed, Parallel: *parallel, NoAnalytic: *noAnalytic}
+	o := expt.Options{Cycles: *cycles, Seed: *seed, Parallel: *parallel}
 	if *cacheDir != "" && !*noCache {
 		o.Cache = cache.New(*cacheDir)
 	}
@@ -347,7 +345,7 @@ func sections() []section {
 			if err := c.csv(r.Table()); err != nil {
 				return err
 			}
-			fmt.Fprintf(c.w, "%d points short-circuited by closed forms, %d simulated (rerun with -no-analytic to simulate all)\n\n",
+			fmt.Fprintf(c.w, "%d points short-circuited by closed forms, %d simulated\n\n",
 				r.Skipped, r.Simulated)
 			return nil
 		}},

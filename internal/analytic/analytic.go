@@ -143,16 +143,3 @@ func GeoD1Wait(rho, service float64) (float64, error) {
 	}
 	return rho * (service - 1) / (2 * (1 - rho)), nil
 }
-
-// SaturatedPerWordLatency returns the per-word latency of master i when
-// every master is continuously backlogged and the arbiter delivers it a
-// share s of the bus: each word effectively needs 1/s cycles.
-func SaturatedPerWordLatency(share float64) float64 {
-	if share <= 0 {
-		return math.Inf(1)
-	}
-	if share > 1 {
-		share = 1
-	}
-	return 1 / share
-}

@@ -243,15 +243,3 @@ func TestLotteryAccessWaitMatchesSimulation(t *testing.T) {
 		t.Fatalf("simulated wait %v, model %v", got, want)
 	}
 }
-
-func TestSaturatedPerWordLatency(t *testing.T) {
-	if v := SaturatedPerWordLatency(0.25); v != 4 {
-		t.Fatalf("latency %v", v)
-	}
-	if !math.IsInf(SaturatedPerWordLatency(0), 1) {
-		t.Fatal("zero share")
-	}
-	if v := SaturatedPerWordLatency(2); v != 1 {
-		t.Fatalf("clamped latency %v", v)
-	}
-}

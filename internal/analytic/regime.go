@@ -7,20 +7,20 @@ import (
 )
 
 // Regime classification: deciding, from a sweep point's configuration
-// alone, whether its long-run statistics are already known in closed
-// form so simulation can be skipped. The classifier is deliberately
-// conservative — it admits exactly the configuration classes the
-// saturation oracle (check.SaturationOracle) continuously re-proves
-// against the cycle-accurate simulator, with the oracle's tolerances,
-// and answers Mixed for everything else. A Mixed answer is always safe:
-// it only means "simulate".
+// alone, whether its long-run bandwidth split is already known in closed
+// form. The closed forms are checks on the simulator, not a substitute
+// for it: the saturation oracle (check.SaturationOracle) and the regimes
+// experiment's A/B test hold simulated shares to them. The classifier is
+// deliberately conservative — it admits exactly the configuration
+// classes the oracle continuously re-proves, with the oracle's
+// tolerances, and answers Mixed for everything else.
 
 // Regime is the classification of one sweep point.
 type Regime int
 
 const (
-	// Mixed means the point is not provably idle or saturated; it must
-	// be simulated.
+	// Mixed means the point is not provably idle or saturated; no
+	// closed form covers it.
 	Mixed Regime = iota
 	// Idle means every master provably offers zero traffic: shares and
 	// utilization are exactly zero, no message ever moves.
@@ -135,8 +135,8 @@ func Classify(p Point) Regime {
 // of a saturated point together with the share tolerance the oracle
 // enforces, or an error naming the first condition the point fails. The
 // shares are fractions of bus data cycles; with the zero-wait slaves the
-// classification requires, utilization is 1 and master i's per-word
-// latency is SaturatedPerWordLatency(shares[i]).
+// classification requires, utilization is 1. Latency has no closed form
+// here: it depends on how many messages each master keeps queued.
 func SaturatedShares(p Point) (shares []float64, tol float64, err error) {
 	if len(p.Masters) == 0 || len(p.Weights) != len(p.Masters) {
 		return nil, 0, fmt.Errorf("analytic: point needs matching masters and weights")

@@ -43,10 +43,6 @@ type Options struct {
 	// LOTTERYBUS_PARALLEL environment variable and then GOMAXPROCS;
 	// 1 forces a serial run.
 	Parallel int
-	// NoAnalytic disables the analytic short-circuit: every sweep point
-	// simulates, even ones the regime classifier proves in closed form,
-	// and the simulated/analytic share error is recorded instead.
-	NoAnalytic bool
 	// Cache, when non-nil, is the content-addressed result cache the
 	// sweep experiments resolve their points through: a point whose
 	// (descriptor, cycles, seed) key is already stored replays from its

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // TestRunRegimesShortCircuits proves the classifier fires exactly on the
-// provable points: saturated and idle columns are served from closed
-// forms, the busy column simulates.
+// provable points: saturated and idle columns report closed forms, the
+// busy column simulates.
 func TestRunRegimesShortCircuits(t *testing.T) {
 	res, err := RunRegimes(Options{Cycles: 20000})
 	if err != nil {
@@ -42,32 +43,32 @@ func TestRunRegimesShortCircuits(t *testing.T) {
 	}
 }
 
-// TestRunRegimesABWithinTolerance is the -no-analytic A/B: simulating
-// the short-circuited points must reproduce the closed forms within the
-// oracle tolerance the classifier advertises.
+// TestRunRegimesABWithinTolerance is the classifier's A/B: simulating
+// every point RunRegimes answers in closed form must reproduce the
+// closed-form shares within the oracle tolerance the row advertises.
 func TestRunRegimesABWithinTolerance(t *testing.T) {
-	res, err := RunRegimes(Options{Cycles: 100000, NoAnalytic: true})
+	o := Options{Cycles: 100000}.fill()
+	res, err := RunRegimes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rows {
-		if !r.Simulated {
-			t.Fatalf("%s/%s: not simulated under NoAnalytic", r.Arbiter, r.Traffic)
-		}
-		if r.Regime == analytic.Mixed {
-			if !math.IsNaN(r.MaxErr) {
-				t.Errorf("%s/%s: mixed point has a share error %v", r.Arbiter, r.Traffic, r.MaxErr)
-			}
+		if r.Simulated {
 			continue
 		}
-		if math.IsNaN(r.MaxErr) || r.MaxErr > r.Tol {
-			t.Errorf("%s/%s: simulated shares err %.4f exceed closed-form tolerance %.2f", r.Arbiter, r.Traffic, r.MaxErr, r.Tol)
+		tag := fmt.Sprintf("regimes/%s/%s", r.Arbiter, r.Traffic)
+		shares, util, err := simulateRegimePoint(o, r.Arbiter, r.Traffic, tag)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Regime == analytic.Saturated && r.Utilization < 0.95 {
-			t.Errorf("%s/%s: saturated point only %.2f utilized", r.Arbiter, r.Traffic, r.Utilization)
+		for i := range shares {
+			if d := math.Abs(shares[i] - r.Shares[i]); !(d <= r.Tol) { // NaN fails too
+				t.Errorf("%s/%s: master %d simulated share %.4f, closed form %.4f, err %.4f exceeds tolerance %.2f",
+					r.Arbiter, r.Traffic, i, shares[i], r.Shares[i], d, r.Tol)
+			}
 		}
-	}
-	if res.Skipped != 0 {
-		t.Errorf("NoAnalytic skipped %d points", res.Skipped)
+		if r.Regime == analytic.Saturated && util < 0.95 {
+			t.Errorf("%s/%s: saturated point only %.2f utilized", r.Arbiter, r.Traffic, util)
+		}
 	}
 }

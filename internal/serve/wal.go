@@ -26,7 +26,12 @@ import (
 // crash their results sit in the content-addressed cache, and the re-run
 // is pure replay. On open the log is compacted: ended jobs are dropped
 // and pending accepts rewritten, so the file stays proportional to the
-// queue, not to history.
+// queue, not to history. Compaction first writes a third kind,
+//
+//	{"op":"seq","id":"j9"}
+//
+// carrying the highest job ID ever handed out, so the ID sequence
+// survives any number of restarts even when that job has ended.
 type walRecord struct {
 	Op        string          `json:"op"`
 	ID        string          `json:"id"`
@@ -57,7 +62,7 @@ func openWAL(dir string) (*wal, []walRecord, int64, error) {
 		return nil, nil, 0, err
 	}
 	// Compact, then append from the compacted file.
-	if err := compactWAL(path, pending); err != nil {
+	if err := compactWAL(path, pending, maxID); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: wal compact: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -67,15 +72,20 @@ func openWAL(dir string) (*wal, []walRecord, int64, error) {
 	return &wal{f: f, path: path}, pending, maxID, nil
 }
 
-// compactWAL rewrites the log at path to hold only the pending
-// accepts, durably: the new log is written to a temp file and fsynced
-// before the rename replaces the old one, and the directory is fsynced
-// after it. A power loss then leaves the old log or the complete new
-// one under path, never a renamed file whose data had not reached the
-// disk — which would come back empty and lose every pending job.
-func compactWAL(path string, pending []walRecord) error {
+// compactWAL rewrites the log at path to hold only the seq record for
+// maxID and the pending accepts, durably: the new log is written to a
+// temp file and fsynced before the rename replaces the old one, and the
+// directory is fsynced after it. A power loss then leaves the old log or
+// the complete new one under path, never a renamed file whose data had
+// not reached the disk — which would come back empty and lose every
+// pending job.
+func compactWAL(path string, pending []walRecord, maxID int64) error {
 	var buf bytes.Buffer
-	for _, rec := range pending {
+	recs := pending
+	if maxID > 0 {
+		recs = append([]walRecord{{Op: "seq", ID: fmt.Sprintf("j%d", maxID)}}, pending...)
+	}
+	for _, rec := range recs {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return err

@@ -48,18 +48,58 @@ func TestWALRoundTrip(t *testing.T) {
 	if pending[0].Client != "b" || pending[0].Replicate != 1 {
 		t.Fatalf("pending j2 lost fields: %+v", pending[0])
 	}
-	// Compaction on open rewrote the file to pending accepts only.
+	// Compaction on open rewrote the file to the seq record and the
+	// pending accepts only.
 	b, err := os.ReadFile(filepath.Join(dir, "jobs.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("compacted WAL has %d lines, want 1:\n%s", len(lines), b)
+	if len(lines) != 2 {
+		t.Fatalf("compacted WAL has %d lines, want 2:\n%s", len(lines), b)
 	}
-	var rec walRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil || rec.ID != "j2" {
-		t.Fatalf("compacted record = %q (err %v), want accept j2", lines[0], err)
+	for i, want := range []walRecord{{Op: "seq", ID: "j2"}, {Op: "accept", ID: "j2"}} {
+		var rec walRecord
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil || rec.Op != want.Op || rec.ID != want.ID {
+			t.Fatalf("compacted record %d = %q (err %v), want %s %s", i, lines[i], err, want.Op, want.ID)
+		}
+	}
+}
+
+// TestWALIDsSurviveTwoRestarts pins that the ID sequence never resumes
+// below an ID already handed out: j2 ends, so after the first restart's
+// compaction no accept carries it, and only the seq record keeps it.
+func TestWALIDsSurviveTwoRestarts(t *testing.T) {
+	dir := t.TempDir()
+	w, _, _, err := openWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"j1", "j2"} {
+		if err := w.appendAccept(&Job{ID: id, Client: "a", Replicate: 1, Canonical: []byte(`{"cycles":1}`)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.appendEnd("j2", StateDone, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		w, pending, maxID, err := openWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		if maxID != 2 {
+			t.Fatalf("restart %d: maxID = %d, want 2 (j2 was handed out)", restart, maxID)
+		}
+		if len(pending) != 1 || pending[0].ID != "j1" {
+			t.Fatalf("restart %d: pending = %+v, want exactly j1", restart, pending)
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"lotterybus"
-	"lotterybus/internal/analytic"
 	"lotterybus/internal/core"
 )
 
@@ -208,13 +207,6 @@ func (cfg *SimConfig) BuildReplicaSet(n int) (*lotterybus.ReplicaSet, error) {
 	return lotterybus.NewReplicaSet(systems...), nil
 }
 
-// armsResilience reports whether the config arms fault injection, the
-// split watchdog or the starvation detector.
-func (cfg *SimConfig) armsResilience() bool {
-	r := cfg.Resilience
-	return cfg.Faults != nil || r != nil && (r.SplitTimeout > 0 || r.StarvationThreshold > 0)
-}
-
 // busConfig is the lotterybus.Config Build gives its System.
 func (cfg *SimConfig) busConfig() lotterybus.Config {
 	c := lotterybus.Config{
@@ -268,66 +260,6 @@ func (cfg *SimConfig) useArbiter(sys *lotterybus.System) error {
 	default:
 		return fmt.Errorf("unknown arbiter kind %q", cfg.Arbiter.Kind)
 	}
-}
-
-// AnalyticPoint reduces the configuration to the regime classifier's
-// vocabulary (internal/analytic). ok is false when the config arms
-// machinery classification cannot reason about — fault injection, the
-// split watchdog or the starvation detector — so such runs always
-// simulate.
-func (cfg *SimConfig) AnalyticPoint() (analytic.Point, bool) {
-	if cfg.armsResilience() {
-		return analytic.Point{}, false
-	}
-	kind := cfg.Arbiter.Kind
-	if kind == "" {
-		kind = "lottery"
-	}
-	p := analytic.Point{
-		Arbiter:    kind,
-		MaxBurst:   cfg.MaxBurst,
-		ArbLatency: cfg.ArbLatency,
-	}
-	if p.MaxBurst == 0 {
-		p.MaxBurst = 16
-	}
-	for _, s := range cfg.Slaves {
-		p.Slaves = append(p.Slaves, analytic.PointSlave{
-			WaitStates: s.WaitStates,
-			Split:      s.SplitLatency > 0,
-		})
-	}
-	for _, m := range cfg.Masters {
-		w := m.Weight
-		if w == 0 {
-			w = 1 // the facade promotes a zero weight to one
-		}
-		p.Weights = append(p.Weights, w)
-		p.Masters = append(p.Masters, m.Traffic.point())
-	}
-	return p, true
-}
-
-// point describes what this arrival process provably does, independent
-// of its seeding. Kinds classification cannot bound (traffic classes,
-// unknown kinds) report LoadKnown false and therefore classify Mixed.
-func (t *TrafficConfig) point() analytic.PointMaster {
-	pm := analytic.PointMaster{Words: defaultWords(t.MsgWords), Slave: t.Slave}
-	switch t.Kind {
-	case "saturating":
-		pm.Saturating = true
-	case "none":
-		pm.LoadKnown = true // exactly zero offered load
-	case "bernoulli", "bursty":
-		// Both are parameterized by their long-run load directly.
-		pm.LoadKnown, pm.OfferedLoad = true, t.Load
-	case "periodic":
-		if t.Period > 0 {
-			pm.LoadKnown = true
-			pm.OfferedLoad = float64(pm.Words) / float64(t.Period)
-		}
-	}
-	return pm
 }
 
 // maxMasters is the fabric-wide master limit, derived from the one

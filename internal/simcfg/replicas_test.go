@@ -2,13 +2,11 @@ package simcfg
 
 import (
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"lotterybus"
-	"lotterybus/internal/analytic"
 	"lotterybus/internal/cache"
 )
 
@@ -263,76 +261,5 @@ func TestBuildReplicaSetRejects(t *testing.T) {
 		if got, want := rs.Collector(1).Fingerprint(), sys.Collector().Fingerprint(); got != want {
 			t.Errorf("%s replica 1: fingerprint %016x, Build() at Seed+1 %016x", name, got, want)
 		}
-	}
-}
-
-// TestAnalyticPointClassification pins the config-to-regime mapping the
-// -no-analytic A/B flag toggles.
-func TestAnalyticPointClassification(t *testing.T) {
-	saturated := func() *SimConfig {
-		return &SimConfig{
-			Cycles: 1000, Seed: 7, MaxBurst: 16,
-			Arbiter: ArbiterConfig{Kind: "lottery"},
-			Slaves:  []SlaveConfig{{Name: "mem"}},
-			Masters: []MasterConfig{
-				{Name: "a", Weight: 3, Traffic: TrafficConfig{Kind: "saturating", MsgWords: 16}},
-				{Name: "b", Weight: 1, Traffic: TrafficConfig{Kind: "saturating", MsgWords: 16}},
-			},
-		}
-	}
-
-	cfg := saturated()
-	pt, ok := cfg.AnalyticPoint()
-	if !ok {
-		t.Fatal("clean config not classifiable")
-	}
-	if r := analytic.Classify(pt); r != analytic.Saturated {
-		t.Fatalf("saturated config classifies %v", r)
-	}
-	shares, _, err := analytic.SaturatedShares(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(shares[0]-0.75) > 1e-12 || math.Abs(shares[1]-0.25) > 1e-12 {
-		t.Fatalf("shares %v, want ticket fractions 0.75/0.25", shares)
-	}
-
-	// The mixed sample config must simulate.
-	if pt, ok := SampleConfig().AnalyticPoint(); !ok {
-		t.Fatal("sample config not classifiable")
-	} else if r := analytic.Classify(pt); r != analytic.Mixed {
-		t.Fatalf("sample config classifies %v", r)
-	}
-
-	// All-silent masters are provably idle.
-	idle := saturated()
-	for i := range idle.Masters {
-		idle.Masters[i].Traffic = TrafficConfig{Kind: "none"}
-	}
-	if pt, ok := idle.AnalyticPoint(); !ok {
-		t.Fatal("idle config not classifiable")
-	} else if r := analytic.Classify(pt); r != analytic.Idle {
-		t.Fatalf("idle config classifies %v", r)
-	}
-
-	// Wait states break the saturated closed form: mixed, so simulated.
-	waity := saturated()
-	waity.Slaves[0].WaitStates = 2
-	if pt, ok := waity.AnalyticPoint(); !ok {
-		t.Fatal("wait-state config not classifiable")
-	} else if r := analytic.Classify(pt); r != analytic.Mixed {
-		t.Fatalf("wait-state config classifies %v", r)
-	}
-
-	// Armed machinery the classifier cannot model disables it entirely.
-	faulted := saturated()
-	faulted.Faults = &lotterybus.FaultConfig{WordError: 0.1}
-	if _, ok := faulted.AnalyticPoint(); ok {
-		t.Fatal("faulted config classifiable")
-	}
-	watched := saturated()
-	watched.Resilience = &ResilienceConfig{StarvationThreshold: 100}
-	if _, ok := watched.AnalyticPoint(); ok {
-		t.Fatal("starvation-armed config classifiable")
 	}
 }
